@@ -3,9 +3,12 @@
 # internal/fleet are concurrent by design. TESTFLAGS threads extra `go test`
 # flags through the gate — CI's race job uses `make check TESTFLAGS=-short`
 # to keep wall time bounded (the long 120-device e2e and the shard sweep run
-# in CI's smoke job instead). `make docs` is the documentation gate: vet
-# plus a check that every package (and command) carries a godoc package
-# comment. `make fuzz` smoke-runs the wire codec and journal reader fuzz
+# in CI's smoke job instead). `make check` also vets and short-tests the
+# nested awarebench module, which the root `./...` never compiles.
+# `make docs` is the documentation gate: vet, a check that every package
+# (and command) carries a godoc package comment, and a check that every
+# `*.md` file a Go comment or top-level markdown file cites exists.
+# `make fuzz` smoke-runs the wire codec and journal reader fuzz
 # targets for FUZZTIME each (default 10s) — the same invocation CI's smoke
 # job uses. `make bench` runs every benchmark and writes machine-readable
 # results to $(BENCHJSON); BENCHFLAGS threads extra `go test` flags through
@@ -14,13 +17,14 @@
 # summary.
 
 GO ?= go
+DOC_MD = README.md ARCHITECTURE.md ROADMAP.md CHANGES.md PAPER.md PAPERS.md
 TESTFLAGS ?=
 BENCHFLAGS ?=
 FUZZTIME ?= 10s
 
-.PHONY: check build vet test test-race bench fuzz cover docs experiments clean
+.PHONY: check build vet test test-race awarebench-check bench fuzz cover docs experiments clean
 
-check: build vet test-race
+check: build vet test-race awarebench-check
 
 build:
 	$(GO) build ./...
@@ -33,6 +37,12 @@ test:
 
 test-race:
 	$(GO) test -race $(TESTFLAGS) ./...
+
+# awarebench is a module of its own (it imports this one through a
+# replace directive), so an API change in fleet or wire could break the
+# benchmark with no other gate noticing.
+awarebench-check:
+	cd awarebench && $(GO) vet . && $(GO) test -race -short .
 
 # bench runs the full benchmark suite — the per-experiment benchmarks
 # (E1-E14), the wire codec pairs (BenchmarkWireJSON / BenchmarkWireBinary
@@ -76,8 +86,12 @@ cover:
 
 # docs fails when any package lacks a godoc package comment ("// Package x"
 # for libraries, "// Command x" for mains) in any of its non-test files,
-# or when ARCHITECTURE.md §2.9's wire frame registry disagrees with the
-# binary codec's tag map (TestFrameRegistry in internal/wire).
+# when ARCHITECTURE.md §2.9's wire frame registry disagrees with the
+# binary codec's tag map (TestFrameRegistry in internal/wire), or when a Go
+# comment or a top-level markdown file cites a `*.md` file that exists
+# neither at the repository root nor next to the citing file. DOC_MD names
+# the top-level markdown files checked; SNIPPETS.md is left out because it
+# cites paths in other repositories.
 # The failure flag is checked in its own `if` statement: chaining it as
 # `[ $fail -eq 0 ] && echo ok || exit 1` would route a failed echo into the
 # exit-1 branch and make the target's status depend on the chain's last
@@ -94,6 +108,15 @@ docs: vet
 	echo "docs: every package has a package comment"
 	@$(GO) test ./internal/wire -run TestFrameRegistry >/dev/null
 	@echo "docs: ARCHITECTURE.md §2.9 frame registry matches the codec"
+	@missing=$$( { grep -rHoE --include='*.go' '//.*\.md\b.*' . ; \
+		grep -HE '\.md\b' $(DOC_MD); } | while IFS= read -r hit; do \
+		file=$${hit%%:*}; dir=$$(dirname "$$file"); \
+		for ref in $$(printf '%s\n' "$${hit#*:}" | grep -oE '[A-Za-z0-9_./-]+\.md\b'); do \
+			[ -e "$$ref" ] || [ -e "$$dir/$$ref" ] || echo "$$file cites missing $$ref"; \
+		done; \
+	done | sort -u); \
+	if [ -n "$$missing" ]; then echo "$$missing"; exit 1; fi; \
+	echo "docs: every cited *.md file exists"
 
 experiments:
 	$(GO) run ./cmd/experiments

@@ -1,10 +1,11 @@
 package trader_test
 
-// One benchmark per experiment of DESIGN.md §4. Each regenerates the
-// corresponding figure/claim of the paper; `go test -bench=. -benchmem`
-// therefore reproduces the full evaluation. The per-iteration wall time is
-// the cost of simulating the whole experiment (tens of virtual seconds of
-// TV operation per iteration for the system-level ones).
+// One benchmark per experiment of internal/exper (E1–E14). Each
+// regenerates the corresponding figure/claim of the paper; `go test
+// -bench=. -benchmem` therefore reproduces the full evaluation. The
+// per-iteration wall time is the cost of simulating the whole experiment
+// (tens of virtual seconds of TV operation per iteration for the
+// system-level ones).
 
 import (
 	"bytes"
@@ -468,7 +469,7 @@ func BenchmarkFleetIngestion(b *testing.B) {
 				srv.CreditWindow = flowWindow
 			}
 			if cfg.journal {
-				var jw fleet.FrameJournal
+				var jw fleet.TieredJournal
 				if cfg.sharded {
 					sj, err := journal.CreateSharded(b.TempDir(), pool.Shards(), journal.Options{})
 					if err != nil {

@@ -1,6 +1,6 @@
-// Command experiments runs every experiment of DESIGN.md §4 (E1–E13, plus
-// the fleet-scaling experiment E14) and prints the paper-vs-measured tables
-// that EXPERIMENTS.md records.
+// Command experiments runs every experiment of internal/exper (E1–E13, plus
+// the fleet-scaling experiment E14) and prints the paper-vs-measured
+// tables, each with its notes.
 //
 // Usage:
 //

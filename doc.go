@@ -33,8 +33,8 @@
 // surviving peer with byte-identical monitor state.
 //
 // See ARCHITECTURE.md for the concept-to-package map and the full wire
-// protocol specification, README.md for the layout, DESIGN.md for the
-// system inventory and experiment index, and EXPERIMENTS.md for
+// protocol specification, README.md for the layout, the internal/exper
+// godoc for the experiment index, and `go run ./cmd/experiments` for the
 // paper-vs-measured results. The benchmarks in bench_test.go regenerate
 // every experiment (E1–E14).
 package trader

@@ -144,7 +144,7 @@ type shard struct {
 	shedObs     atomic.Uint64
 	shedHB      atomic.Uint64
 	// lat is the shard's ingest-to-dispatch latency histogram, recorded by
-	// DispatchAt on the shard goroutine (the SLO plane's raw material).
+	// DispatchTraced on the shard goroutine (the SLO plane's raw material).
 	lat *metrics.Histogram
 	// final is the shard's monitor-counter sum at shutdown, written by the
 	// worker just before it exits and published to readers by Pool.term.
@@ -387,28 +387,23 @@ func (p *Pool) Dispatch(id string, e event.Event) error {
 	return p.send(p.ShardOf(id), func(s *shard) { s.deliver(p, id, e) })
 }
 
-// DispatchAt is Dispatch for the ingestion path: it additionally records
-// the ingest-to-dispatch latency — from the frame's decode instant to its
-// delivery on the shard goroutine, the interval the fleet's latency SLO is
-// stated over — into the shard's histogram. Recording is one atomic add;
-// plain Dispatch callers pay nothing.
-func (p *Pool) DispatchAt(id string, e event.Event, ingest time.Time) error {
-	return p.send(p.ShardOf(id), func(s *shard) {
-		s.deliver(p, id, e)
-		s.lat.Record(time.Since(ingest))
-	})
-}
-
-// DispatchTraced is DispatchAt for sampled frames: the shard records a
-// dispatch span (enqueue → shard-goroutine pickup, the queue-wait the
-// shed tiers manage) and a monitor span (the device step itself) under
-// ctx, and the latency observation carries the trace ID as its bucket's
-// exemplar — the link that lets a p99 spike on /metrics resolve to the
-// span chain that produced it. A dead ctx takes the DispatchAt path
-// unchanged, so only the 1-in-N sampled frames pay for extra clock reads.
+// DispatchTraced is Dispatch for the ingestion path: it additionally
+// records the ingest-to-dispatch latency — from the frame's decode instant
+// to its delivery on the shard goroutine, the interval the fleet's latency
+// SLO is stated over — into the shard's histogram. Recording is one atomic
+// add; plain Dispatch callers pay nothing. For a sampled frame (a live ctx)
+// the shard also records a dispatch span (enqueue → shard-goroutine
+// pickup, the queue-wait the shed tiers manage) and a monitor span (the
+// device step itself) under ctx, and the latency observation carries the
+// trace ID as its bucket's exemplar — the link that lets a p99 spike on
+// /metrics resolve to the span chain that produced it. Only the 1-in-N
+// sampled frames pay for the extra clock reads.
 func (p *Pool) DispatchTraced(id string, e event.Event, ingest time.Time, ctx trace.Context) error {
 	if !ctx.Live() || p.opts.Tracer == nil {
-		return p.DispatchAt(id, e, ingest)
+		return p.send(p.ShardOf(id), func(s *shard) {
+			s.deliver(p, id, e)
+			s.lat.Record(time.Since(ingest))
+		})
 	}
 	tr := p.opts.Tracer
 	enq := time.Now()
@@ -426,7 +421,10 @@ func (p *Pool) DispatchTraced(id string, e event.Event, ingest time.Time, ctx tr
 // hot path to decide load-shedding, so it is a channel-length probe, not a
 // barrier: momentarily stale, never blocking.
 func (p *Pool) Pressure(id string) float64 {
-	s := p.shards[p.ShardOf(id)]
+	return p.shards[p.ShardOf(id)].pressure()
+}
+
+func (s *shard) pressure() float64 {
 	return float64(len(s.cmds)) / float64(cap(s.cmds))
 }
 

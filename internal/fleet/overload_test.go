@@ -4,11 +4,13 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"trader/internal/journal"
 	"trader/internal/sim"
+	"trader/internal/trace"
 	"trader/internal/wire"
 )
 
@@ -182,6 +184,9 @@ func TestShedTierOrderingUnderPressure(t *testing.T) {
 		return hb == 1 && obs == 4
 	})
 	release2()
+	// Pressure is a probe of the queue, so wait for the shard to drain what
+	// the gate held back: a heartbeat read before then is shed, correctly.
+	eventually(t, "pressure drained", func() bool { return srv.Pool.Pressure("tiered") < 0.9 })
 
 	// Pressure is gone: the next heartbeat echoes, and the first frame the
 	// client sees is its echo — the 2s heartbeat was refused, not delayed.
@@ -321,7 +326,7 @@ func TestCreditReplenishRacesDisconnect(t *testing.T) {
 	}
 }
 
-// Concurrent ingestion across all 8 shards: every DispatchAt records
+// Concurrent ingestion across all 8 shards: every DispatchTraced records
 // exactly one latency sample into its shard's histogram, the per-shard
 // histograms sum to the fleet aggregate, and the quantiles stay ordered —
 // under concurrency, not just in the single-threaded metrics tests.
@@ -342,7 +347,7 @@ func TestLatencyHistogramConcurrentAcrossShards(t *testing.T) {
 		go func(id string) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				if err := pool.DispatchAt(id, outEvent(0, int64(10+i)), time.Now()); err != nil {
+				if err := pool.DispatchTraced(id, outEvent(0, int64(10+i)), time.Now(), trace.Context{}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -379,17 +384,25 @@ func TestLatencyHistogramConcurrentAcrossShards(t *testing.T) {
 // Shed markers keep the journal's story equal to the live pool's: frames
 // refused under pressure are never journaled, but their aggregated marker
 // is — flushed write-ahead of the next heartbeat and at teardown — so a
-// replayed pool reports the same shed counters the live one did.
+// replayed pool reports the same shed counters the live one did. A spectrum
+// delta sheds with the observations tier: counted as a shed observation,
+// carried in the marker, never handed to OnSpectrumDelta.
 func TestShedMarkersJournaledAndReplayed(t *testing.T) {
 	dir := t.TempDir()
 	w, err := journal.Create(dir, journal.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var deltas atomic.Int64
 	srv, addr := startOverloadServer(t, Options{Shards: 1, Queue: 8}, func(s *Server) {
 		s.Journal = w
 		s.ShedObservationsAt = 0.5
+		s.OnSpectrumDelta = func(string, wire.Message) { deltas.Add(1) }
 	})
+	delta := func(at sim.Time) wire.Message {
+		return wire.Message{Type: wire.TypeSpectrumDelta, SUO: "shedder", At: at,
+			Delta: &wire.SpectrumDelta{Seq: uint64(at), Blocks: 8}}
+	}
 	wc, err := wire.Dial(addr, "shedder", wire.CodecBinary)
 	if err != nil {
 		t.Fatal(err)
@@ -397,38 +410,52 @@ func TestShedMarkersJournaledAndReplayed(t *testing.T) {
 	defer wc.Close()
 	eventually(t, "registration", func() bool { return srv.Pool.Size() == 1 })
 
-	// Three observations refused at pressure 0.5: the journal sees none of
-	// them, and the shed counters move only when the marker lands — on the
-	// journal-backed path the pending record waits for the next flush.
+	// Three observations and a spectrum delta refused at pressure 0.5: the
+	// journal sees none of them, and the shed counters move only when the
+	// marker lands — on the journal-backed path the pending record waits
+	// for the next flush.
 	release := blockShard(t, srv.Pool, 0, 4)
 	for i := 0; i < 3; i++ {
 		if err := wc.SendEvent("shedder", outEvent(0, 10)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if err := wc.Encode(delta(500 * sim.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
 	if err := wc.Encode(wire.Message{Type: wire.TypeHeartbeat, SUO: "shedder", At: sim.Second}); err != nil {
 		t.Fatal(err)
 	}
 	// The marker lands write-ahead of the heartbeat record, and its counters
 	// move with it — observable before the (still gated) flush barrier.
-	eventually(t, "marker flush", func() bool { obs, _ := shedCounts(srv.Pool); return obs == 3 })
+	eventually(t, "marker flush", func() bool { obs, _ := shedCounts(srv.Pool); return obs == 4 })
 	release()
 	if msg, err := wc.Decode(); err != nil || msg.Type != wire.TypeHeartbeat {
 		t.Fatalf("heartbeat echo: %+v, %v", msg, err)
 	}
+	if n := deltas.Load(); n != 0 {
+		t.Fatalf("shed spectrum delta reached OnSpectrumDelta (%d calls)", n)
+	}
 
-	// Two admitted frames and their barrier, then one more shed that never
-	// sees a heartbeat: the teardown flush must write its marker.
+	// Two admitted frames and an admitted delta, their barrier, then one
+	// more shed that never sees a heartbeat: the teardown flush must write
+	// its marker.
 	for _, at := range []int64{1010, 1020} {
 		if err := wc.SendEvent("shedder", outEvent(0, at)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := wc.Encode(delta(1500 * sim.Millisecond)); err != nil {
+		t.Fatal(err)
 	}
 	if err := wc.Encode(wire.Message{Type: wire.TypeHeartbeat, SUO: "shedder", At: 2 * sim.Second}); err != nil {
 		t.Fatal(err)
 	}
 	if msg, err := wc.Decode(); err != nil || msg.Type != wire.TypeHeartbeat {
 		t.Fatalf("second heartbeat echo: %+v, %v", msg, err)
+	}
+	if n := deltas.Load(); n != 1 {
+		t.Fatalf("OnSpectrumDelta calls = %d, want 1 (the admitted delta only)", n)
 	}
 	release2 := blockShard(t, srv.Pool, 0, 4)
 	if err := wc.SendEvent("shedder", outEvent(0, 2010)); err != nil {
@@ -438,13 +465,13 @@ func TestShedMarkersJournaledAndReplayed(t *testing.T) {
 	// marker flush runs before the (still gated) device cleanup — so the
 	// teardown marker's counters are observable before the gate opens.
 	wc.Close()
-	eventually(t, "teardown marker flush", func() bool { obs, _ := shedCounts(srv.Pool); return obs == 4 })
+	eventually(t, "teardown marker flush", func() bool { obs, _ := shedCounts(srv.Pool); return obs == 5 })
 	release2()
 	eventually(t, "disconnect", func() bool { return srv.Stats().Disconnected == 1 })
 
 	live := srv.Pool.Rollup()
-	if live.ShedObservations != 4 || live.Dispatched != 2 {
-		t.Fatalf("live rollup sheds=%d dispatched=%d, want 4 and 2", live.ShedObservations, live.Dispatched)
+	if live.ShedObservations != 5 || live.Dispatched != 2 {
+		t.Fatalf("live rollup sheds=%d dispatched=%d, want 5 and 2", live.ShedObservations, live.Dispatched)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

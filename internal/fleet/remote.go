@@ -160,23 +160,23 @@ type Server struct {
 	// Journal, when non-nil, receives every accepted frame — observations
 	// and heartbeats, after validation and the MaxAdvance vetting — tagged
 	// with the registered device ID and the frame's virtual time.
-	// Appends are write-ahead: a frame reaches the pool (and a heartbeat is
-	// echoed) only after its journal record is durable, so a journal-backed
-	// pool can be rebuilt losslessly after a crash (Pool.Replay) and a
-	// heartbeat echo now also acknowledges durability. A failed append
-	// closes the connection — frames that cannot be made durable are not
-	// ingested. Journaling also changes disconnect semantics: the device
+	// Appends are write-ahead: a frame's pool effect (dispatch, clock
+	// advance, shed counters) is enqueued only under its record's stream
+	// lock (see TieredJournal), so a journal-backed pool can be rebuilt
+	// losslessly after a crash (Pool.Replay), and on a fsync-class
+	// connection a heartbeat echo also acknowledges durability. A failed
+	// append closes the connection — frames that cannot be journaled are
+	// not ingested. Journaling also changes disconnect semantics: the device
 	// stays in the pool (with its error sink detached) instead of being
 	// removed, matching the continuous per-device lifetime its journal
 	// records, and the next connection for the ID adopts it.
-	// *journal.Writer implements this interface.
-	Journal FrameJournal
+	// *journal.Writer and *journal.Sharded implement this interface.
+	Journal TieredJournal
 	// GrantDurability, when non-nil, vets each connection's requested ack
 	// class (hello.Durability, already normalised) and returns the class to
 	// grant — e.g. fsync for critical device classes, dispatch for the long
-	// tail. Nil grants whatever the client asked for. A granted dispatch
-	// class only changes behaviour when Journal implements TieredJournal;
-	// otherwise every accepted frame is synced as before.
+	// tail. Nil grants whatever the client asked for. A dispatch-class
+	// connection's appends return without waiting for their fsync.
 	GrantDurability func(hello wire.Message) wire.Durability
 	// CreditWindow, when positive, enables credit-based flow control: the
 	// Hello reply grants each connection this many frame credits, every
@@ -239,21 +239,20 @@ const replenishPressure = 0.5
 // ErrServerClosed is returned by Serve after Close.
 var ErrServerClosed = errors.New("fleet: server closed")
 
-// FrameJournal is the server's durable frame sink. Append must be safe for
-// concurrent use (connections journal from their own goroutines) and must
-// not retain the message. journal.Writer is the production implementation.
+// FrameJournal is the durable record sink of the control, diagnosis and
+// federation planes. Append must be safe for concurrent use and must not
+// retain the message. journal.Writer is the production implementation.
 type FrameJournal interface {
 	Append(wire.Message) error
 }
 
-// TieredJournal is the journal surface tiered durability and checkpointing
-// need on top of FrameJournal: AppendThen accepts a record without waiting
-// for its fsync when sync is false (the ack-on-dispatch class), and runs
-// then() under the record's stream lock — the server enqueues the frame's
-// pool effect there, so a checkpoint freezing the stream observes either
-// both the record and its effect or neither, never a truncated record whose
-// effect is missing from the snapshot. Both *journal.Writer and
-// *journal.Sharded implement it.
+// TieredJournal is the ingestion server's journal: FrameJournal plus
+// AppendThen, which accepts a record without waiting for its fsync when
+// sync is false (the ack-on-dispatch class), and runs then() under the
+// record's stream lock — the server enqueues the frame's pool effect there,
+// so a checkpoint freezing the stream observes either both the record and
+// its effect or neither, never a truncated record whose effect is missing
+// from the snapshot. Both *journal.Writer and *journal.Sharded implement it.
 type TieredJournal interface {
 	FrameJournal
 	AppendThen(m wire.Message, sync bool, then func()) error
@@ -364,7 +363,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			return fmt.Errorf("fleet: accept: %w", err)
 		}
 		backoff = 0
-		go s.handle(conn)
+		go s.serveConn(conn)
 	}
 }
 
@@ -398,16 +397,26 @@ func (s *Server) Close() {
 	}
 }
 
+// readyConn returns device id's connection once its Hello reply is on the
+// wire (see remoteConn.ready); a mid-handshake connection is not connected.
+func (s *Server) readyConn(id string) (*remoteConn, error) {
+	s.mu.Lock()
+	c := s.conns[id]
+	s.mu.Unlock()
+	if c == nil || !c.ready.Load() {
+		return nil, fmt.Errorf("fleet: no connected device %q", id)
+	}
+	return c, nil
+}
+
 // Control pushes a control command down one registered device's connection.
 // With a Tracer attached the push is traced forced — never sampled away —
 // and the frame carries the trace context, so the device's ack echoes it
 // back and the round trip closes as control span → ack span.
 func (s *Server) Control(id string, cmd wire.ControlCommand) error {
-	s.mu.Lock()
-	c := s.conns[id]
-	s.mu.Unlock()
-	if c == nil || !c.ready.Load() {
-		return fmt.Errorf("fleet: no connected device %q", id)
+	c, err := s.readyConn(id)
+	if err != nil {
+		return err
 	}
 	m := wire.Message{Type: wire.TypeControl, SUO: id, Control: cmd}
 	if s.Tracer != nil {
@@ -426,11 +435,9 @@ func (s *Server) Control(id string, cmd wire.ControlCommand) error {
 // push, delivery is not guaranteed — the diagnosis plane tolerates devices
 // that never answer.
 func (s *Server) RequestSnapshot(id string) error {
-	s.mu.Lock()
-	c := s.conns[id]
-	s.mu.Unlock()
-	if c == nil || !c.ready.Load() {
-		return fmt.Errorf("fleet: no connected device %q", id)
+	c, err := s.readyConn(id)
+	if err != nil {
+		return err
 	}
 	return c.send(wire.Message{Type: wire.TypeSnapshotReq, SUO: id})
 }
@@ -438,13 +445,13 @@ func (s *Server) RequestSnapshot(id string) error {
 // Disconnect closes one registered device's connection — the quarantine
 // escalation's final act. The connection's read loop unwinds exactly as for
 // a client-initiated disconnect: the device is removed from the pool (or, in
-// journal mode, kept with its error sink detached).
+// journal mode, kept with its error sink detached). A connection still in
+// its handshake is not connected yet; if its device is quarantined, its own
+// admission re-serves the verdict and ends it.
 func (s *Server) Disconnect(id string) error {
-	s.mu.Lock()
-	c := s.conns[id]
-	s.mu.Unlock()
-	if c == nil {
-		return fmt.Errorf("fleet: no connected device %q", id)
+	c, err := s.readyConn(id)
+	if err != nil {
+		return err
 	}
 	c.closed.Store(true)
 	return c.nc.Close()
@@ -483,237 +490,168 @@ func (s *Server) release(id string) {
 	s.mu.Unlock()
 }
 
-// handle owns one connection: handshake, registration, then the read loop.
-// Any protocol violation — garbage bytes, an oversized frame, an unknown
-// codec construct — ends this connection and removes this device only; the
-// daemon and every other connection keep running.
-func (s *Server) handle(conn net.Conn) {
+// session is one registered connection's ingest state, owned by the
+// connection's read goroutine (only rc is shared: shard goroutines push
+// error frames through it).
+type session struct {
+	s  *Server
+	id string
+	rc *remoteConn
+	sh *shard // the shard the device routes to
+	// sync is the journal sync flag of this connection's appends: false on
+	// a dispatch-class connection, whose appends do not wait for the fsync.
+	sync   bool
+	maxAdv sim.Time
+	// clock shadows the device's virtual time as driven by this connection
+	// — the only source of time for a remote device — so client-supplied
+	// timestamps are vetted here, before they reach the shard (see advance).
+	clock sim.Time
+	// window is the granted credit window (0: flow control off), credits
+	// the server-side balance of it. Grants are deltas, so server balance −
+	// client balance is the frames and grants in flight, never negative
+	// for a compliant peer (see CreditWindow).
+	window, credits int
+	// pendingShed accumulates this connection's shed frames until the next
+	// marker flush (heartbeat or teardown); one aggregated journal record
+	// per window keeps shedding from writing the journal it is shedding to
+	// protect.
+	pendingShed wire.ShedRecord
+}
+
+// serveConn owns one connection: admission, the read loop, teardown. Any
+// protocol violation — garbage bytes, an oversized frame, an unknown codec
+// construct — ends this connection and removes this device only; the daemon
+// and every other connection keep running.
+func (s *Server) serveConn(conn net.Conn) {
+	ss := s.admit(conn)
+	if ss == nil {
+		return
+	}
+	defer ss.close()
+	for {
+		msg, err := ss.rc.wc.Decode()
+		if err != nil {
+			if err != io.EOF {
+				s.logf("fleet: device %q: %v", ss.id, err)
+			}
+			return
+		}
+		// ingest is the frame's decode instant, the start of the interval
+		// the latency SLO is stated over (the shard records its end).
+		if !ss.ingest(msg, time.Now()) {
+			return
+		}
+	}
+}
+
+// refuse drops a connection that never registered, counting and logging why.
+func (s *Server) refuse(conn net.Conn, format string, args ...any) *session {
+	s.rejected.Add(1)
+	s.logf("fleet: %s: %s", conn.RemoteAddr(), fmt.Sprintf(format, args...))
+	conn.Close()
+	return nil
+}
+
+// admit runs one connection's admission: the Hello handshake, the ID
+// reservation, the durability and credit grants, and the pool add or
+// adoption. It returns the registered session, or nil once the connection
+// is refused and closed — or, for a quarantined device's reconnect,
+// re-served its verdict and torn down.
+func (s *Server) admit(conn net.Conn) *session {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		conn.Close()
-		return
+		return nil
 	}
 	s.pending[conn] = struct{}{}
 	s.mu.Unlock()
-	unpend := func() {
+	defer func() {
 		s.mu.Lock()
 		delete(s.pending, conn)
 		s.mu.Unlock()
-	}
+	}()
 
-	wc := wire.NewConn(conn)
 	timeout := s.WriteTimeout
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
+	wc := wire.NewConn(conn)
 	rc := &remoteConn{nc: conn, wc: wc, timeout: timeout}
 	if s.HelloTimeout > 0 {
 		_ = conn.SetReadDeadline(time.Now().Add(s.HelloTimeout))
 	}
 	hello, err := wc.ReadHello()
 	if err != nil {
-		unpend()
-		s.rejected.Add(1)
-		s.logf("fleet: %s: handshake failed: %v", conn.RemoteAddr(), err)
-		conn.Close()
-		return
+		return s.refuse(conn, "handshake failed: %v", err)
 	}
 	_ = conn.SetReadDeadline(time.Time{})
 	id := hello.SUO
 
 	// Vet the registration BEFORE replying: a refused client must see the
-	// rejection as its handshake reply (a TypeError frame, still JSON —
-	// no codec switch has happened), so its Dial fails synchronously
-	// instead of reporting success for a connection the server is about
-	// to drop.
-	reject := func(detail string) {
-		unpend()
-		s.rejected.Add(1)
-		_ = conn.SetWriteDeadline(time.Now().Add(rc.timeout))
-		_ = wc.RejectHello(id, detail)
-		s.logf("fleet: %s: rejected %q: %s", conn.RemoteAddr(), id, detail)
-		conn.Close()
-	}
+	// rejection as its handshake reply (a TypeError frame, still JSON — no
+	// codec switch has happened), so its Dial fails synchronously instead
+	// of reporting success for a connection the server is about to drop.
 	if id == "" {
-		reject("hello frame carries no SUO device ID")
-		return
+		err = errors.New("hello frame carries no SUO device ID")
+	} else {
+		err = s.reserve(id, rc)
 	}
-	if err := s.reserve(id, rc); err != nil {
-		reject(err.Error())
-		return
+	if err != nil {
+		_ = conn.SetWriteDeadline(time.Now().Add(timeout))
+		_ = wc.RejectHello(id, err.Error())
+		return s.refuse(conn, "rejected %q: %s", id, err)
 	}
+	ss := &session{s: s, id: id, rc: rc, sh: s.Pool.shards[s.Pool.ShardOf(id)],
+		maxAdv: s.MaxAdvance, window: max(s.CreditWindow, 0)}
+	if ss.maxAdv <= 0 {
+		ss.maxAdv = DefaultMaxAdvance
+	}
+	ss.credits = ss.window
 	// Durability negotiation: normalise the request (unknown classes vet
 	// back to fsync), let the operator's policy override it, and echo the
 	// granted class in the Hello reply so the client knows what a heartbeat
-	// echo will mean on this connection.
-	granted, _ := wire.DurabilityByName(string(hello.Durability))
+	// echo will mean on this connection. Flow-control negotiation: the
+	// window is the server's to grant, never the client's to request, so
+	// whatever the client put in the field is overwritten.
+	hello.Durability, _ = wire.DurabilityByName(string(hello.Durability))
 	if s.GrantDurability != nil {
-		hello.Durability = granted
-		granted, _ = wire.DurabilityByName(string(s.GrantDurability(hello)))
+		hello.Durability, _ = wire.DurabilityByName(string(s.GrantDurability(hello)))
 	}
-	hello.Durability = granted
-	tiered, _ := s.Journal.(TieredJournal)
-	relaxed := granted == wire.DurDispatch && tiered != nil
-	// Flow-control negotiation: the window is the server's to grant, never
-	// the client's to request, so whatever the client put in the field is
-	// overwritten before the reply echoes it.
-	window := s.CreditWindow
-	if window < 0 {
-		window = 0
-	}
-	hello.Credits = uint32(window)
-	_ = conn.SetWriteDeadline(time.Now().Add(rc.timeout))
+	ss.sync = hello.Durability != wire.DurDispatch
+	hello.Credits = uint32(ss.window)
+	_ = conn.SetWriteDeadline(time.Now().Add(timeout))
 	codec, err := wc.ReplyHello(hello)
 	if err != nil {
 		s.release(id)
-		unpend()
-		s.rejected.Add(1)
-		s.logf("fleet: %s: hello reply to %q failed: %v", conn.RemoteAddr(), id, err)
-		conn.Close()
-		return
+		return s.refuse(conn, "hello reply to %q failed: %v", id, err)
 	}
 	rc.ready.Store(true)
 
 	// Pool admission can still fail after the reply (factory error, pool
 	// stopping) — a server-side condition the client learns about through
 	// a post-handshake error frame and a close.
-	adopted := false
-	var resumeAt sim.Time
-	err = s.Pool.AddRemoteDevice(id, s.Factory, rc.send)
-	if errors.Is(err, ErrDuplicateDevice) {
-		// The pool holds this ID but no connection does (a genuine duplicate
-		// connection was refused at reserve, before the Hello reply): the
-		// device was rebuilt by journal recovery and its monitor state —
-		// clocks, counters, fault history — must survive the reconnect.
-		// Adopt it: point its error pushes at this connection and resume.
-		var ok bool
-		if resumeAt, ok, err = s.Pool.AttachDevice(id, rc.send); err == nil && !ok {
-			err = fmt.Errorf("fleet: device %q exists but cannot be adopted", id)
-		}
-		adopted = err == nil
-	}
-	unpend()
+	resumeAt, adopted, err := s.addOrAdopt(id, rc)
 	if err != nil {
 		s.release(id)
 		s.rejected.Add(1)
-		rep := wire.ErrorReport{Detector: "ingest", Detail: err.Error()}
-		_ = rc.send(wire.Message{Type: wire.TypeError, SUO: id, Error: &rep})
-		s.logf("fleet: %s: rejected %q: %v", conn.RemoteAddr(), id, err)
+		ss.violation(err.Error())
 		conn.Close()
-		return
+		return nil
 	}
-	cleanup := func() {
-		if s.Journal != nil {
-			// A journal-backed fleet keeps the device across disconnects:
-			// its history is durable and a later boot would rebuild it via
-			// replay anyway, so removing it live would only make the live
-			// pool diverge from its own journal (and re-anchor a resuming
-			// client's advance window at zero, refusing any resume beyond
-			// MaxAdvance). Detach the error sink; the next connection for
-			// this ID adopts the device and resumes its timeline.
-			_, _, _ = s.Pool.AttachDevice(id, func(wire.Message) error { return nil })
-			s.release(id)
-			s.disconnected.Add(1)
-			return
-		}
-		// Shard first, conns map second: RemoveDevice blocks until the
-		// shard has dropped the device, so once the ID is reservable
-		// again an immediate reconnect's AddDevice cannot collide with
-		// the stale entry (§2.4 allows instant reconnects).
-		_, _ = s.Pool.RemoveDevice(id)
-		s.release(id)
-		s.disconnected.Add(1)
-	}
+	// An adopted connection anchors the advance window at the recovered
+	// device's virtual time, not zero: the client resumes with timestamps
+	// at or beyond its last acknowledged heartbeat, which on a fleet older
+	// than MaxAdvance would otherwise read as a runaway jump and get the
+	// reconnect refused forever.
+	ss.clock = resumeAt
 	s.accepted.Add(1)
 	how := "connected"
 	if adopted {
 		how = "reconnected to recovered device"
 	}
 	s.logf("fleet: %s: device %q %s (codec %s, durability %s), fleet size %d",
-		conn.RemoteAddr(), id, how, codec.Name(), granted, s.Pool.Size())
-	maxAdv := s.MaxAdvance
-	if maxAdv <= 0 {
-		maxAdv = DefaultMaxAdvance
-	}
-	// clock shadows the device's virtual time as driven by this connection
-	// — the only source of time for a remote device — so client-supplied
-	// timestamps are vetted here, before they reach the shard. advance
-	// reports whether at is within the MaxAdvance window; a frame beyond
-	// it is a protocol violation that ends the connection (see
-	// Server.MaxAdvance for why unbounded advances are dangerous). An
-	// adopted connection anchors the window at the recovered device's
-	// virtual time, not zero: the client resumes with timestamps at or
-	// beyond its last acknowledged heartbeat, which on a fleet older than
-	// MaxAdvance would otherwise read as a runaway jump and get the
-	// reconnect refused forever.
-	clock := resumeAt
-	advance := func(at sim.Time) bool {
-		// at-clock, not clock+maxAdv: the sum overflows when an operator
-		// sets a huge window to effectively disable the bound. clock only
-		// ever holds an accepted at > clock ≥ 0, so the difference is safe.
-		if at > clock && at-clock > maxAdv {
-			rep := wire.ErrorReport{Detector: "ingest", At: clock, Detail: fmt.Sprintf(
-				"frame time %s is beyond the %s advance window (device clock %s)", at, maxAdv, clock)}
-			_ = rc.send(wire.Message{Type: wire.TypeError, SUO: id, Error: &rep, At: clock})
-			s.logf("fleet: device %q: %s", id, rep.Detail)
-			return false
-		}
-		if at > clock {
-			clock = at
-		}
-		return true
-	}
-
-	// Flow-control state, all owned by this read goroutine: credits is the
-	// server-side balance of the connection's window. The client decrements
-	// its copy when it sends, the server when it receives, and every grant
-	// is a delta — so server balance − client balance always equals the
-	// frames and grants in flight, a non-negative number, and only a peer
-	// that ignores an exhausted window can drive the server below zero.
-	credits := window
-	// pendingShed accumulates this connection's shed frames until the next
-	// marker flush (heartbeat or teardown); one aggregated journal record
-	// per window keeps shedding from writing the journal it is shedding to
-	// protect.
-	var pendingShed wire.ShedRecord
-	// flushShed journals the pending marker and moves the pool's shed
-	// counters inside the journal's stream lock (AppendThen), so a
-	// checkpoint freezing the stream captures the marker and its counters
-	// together or not at all — never one without the other. Journal-less
-	// servers count sheds immediately and never come here with a pending
-	// record.
-	flushShed := func() bool {
-		if s.Journal == nil || pendingShed == (wire.ShedRecord{}) {
-			return true
-		}
-		rec := pendingShed
-		pendingShed = wire.ShedRecord{}
-		count := func() { s.Pool.AddShed(id, rec) }
-		jm := wire.Message{Type: wire.TypeShed, SUO: id, At: clock, Shed: &rec}
-		var err error
-		if tiered != nil {
-			err = tiered.AppendThen(jm, !relaxed, count)
-		} else if err = s.Journal.Append(jm); err == nil {
-			count()
-		}
-		if err != nil {
-			s.logf("fleet: device %q: journal: %v", id, err)
-			return false
-		}
-		return true
-	}
-
-	defer func() {
-		// Latch closed before teardown so a controller push racing the
-		// unwind fails fast instead of writing into the dying socket. The
-		// final shed marker is flushed while the device is still attached.
-		rc.closed.Store(true)
-		_ = flushShed()
-		cleanup()
-		conn.Close()
-		s.logf("fleet: device %q disconnected, fleet size %d", id, s.Pool.Size())
-	}()
+		conn.RemoteAddr(), id, how, codec.Name(), hello.Durability, s.Pool.Size())
 
 	// A quarantined device's reconnect must not resurrect its service: the
 	// recovery controller retired it, and the CtrlQuarantine push that told
@@ -725,273 +663,331 @@ func (s *Server) handle(conn net.Conn) {
 		if q, err := s.Pool.Quarantined(id); err == nil && q {
 			s.logf("fleet: device %q reconnected while quarantined; refusing service", id)
 			_ = rc.send(wire.Message{Type: wire.TypeControl, SUO: id, Control: wire.CtrlQuarantine})
-			return
+			ss.close()
+			return nil
 		}
 	}
+	return ss
+}
 
-	for {
-		msg, err := wc.Decode()
-		if err == io.EOF {
-			return
+// addOrAdopt adds id's device to the pool, or adopts the device journal
+// recovery rebuilt for it, returning the adopted device's virtual time.
+func (s *Server) addOrAdopt(id string, rc *remoteConn) (resumeAt sim.Time, adopted bool, err error) {
+	err = s.Pool.AddRemoteDevice(id, s.Factory, rc.send)
+	if !errors.Is(err, ErrDuplicateDevice) {
+		return 0, false, err
+	}
+	// The pool holds this ID but no connection does (a genuine duplicate
+	// connection was refused at reserve, before the Hello reply): the device
+	// was rebuilt by journal recovery and its monitor state — clocks,
+	// counters, fault history — must survive the reconnect. Adopt it: point
+	// its error pushes at this connection and resume.
+	resumeAt, ok, err := s.Pool.AttachDevice(id, rc.send)
+	if err == nil && !ok {
+		err = fmt.Errorf("fleet: device %q exists but cannot be adopted", id)
+	}
+	return resumeAt, err == nil, err
+}
+
+// close tears the session down. The connection latches closed first, so a
+// controller push racing the unwind fails fast instead of writing into the
+// dying socket, and the final shed marker is flushed while the device is
+// still attached.
+func (ss *session) close() {
+	s, id := ss.s, ss.id
+	ss.rc.closed.Store(true)
+	_ = ss.flushShed()
+	if s.Journal != nil {
+		// A journal-backed fleet keeps the device across disconnects: its
+		// history is durable and a later boot would rebuild it via replay
+		// anyway, so removing it live would only make the live pool diverge
+		// from its own journal (and re-anchor a resuming client's advance
+		// window at zero, refusing any resume beyond MaxAdvance). Detach
+		// the error sink; the next connection for this ID adopts the device
+		// and resumes its timeline.
+		_, _, _ = s.Pool.AttachDevice(id, func(wire.Message) error { return nil })
+	} else {
+		// Shard first, conns map second: RemoveDevice blocks until the
+		// shard has dropped the device, so once the ID is reservable again
+		// an immediate reconnect's AddDevice cannot collide with the stale
+		// entry (§2.4 allows instant reconnects).
+		_, _ = s.Pool.RemoveDevice(id)
+	}
+	s.release(id)
+	s.disconnected.Add(1)
+	_ = ss.rc.nc.Close()
+	s.logf("fleet: device %q disconnected, fleet size %d", id, s.Pool.Size())
+}
+
+// violation answers a protocol violation: an ingest error frame stamped
+// with the session clock, then a log line. It returns false, which ends
+// the connection.
+func (ss *session) violation(detail string) bool {
+	rep := wire.ErrorReport{Detector: "ingest", At: ss.clock, Detail: detail}
+	_ = ss.rc.send(wire.Message{Type: wire.TypeError, SUO: ss.id, Error: &rep, At: ss.clock})
+	ss.s.logf("fleet: device %q: %s", ss.id, detail)
+	return false
+}
+
+// advance moves the session clock to at, or answers a frame beyond the
+// MaxAdvance window as a protocol violation (see Server.MaxAdvance).
+func (ss *session) advance(at sim.Time) bool {
+	// at-clock, not clock+maxAdv: the sum overflows when an operator sets
+	// a huge window to effectively disable the bound. clock only ever holds
+	// an accepted at > clock ≥ 0, so the difference is safe.
+	if at > ss.clock && at-ss.clock > ss.maxAdv {
+		return ss.violation(fmt.Sprintf("frame time %s is beyond the %s advance window (device clock %s)",
+			at, ss.maxAdv, ss.clock))
+	}
+	if at > ss.clock {
+		ss.clock = at
+	}
+	return true
+}
+
+// appendThen journals m write-ahead of then, its pool effect, which runs
+// under the record's stream lock (see TieredJournal); with no journal it
+// just runs then. A failed append is logged and ends the connection.
+func (ss *session) appendThen(m wire.Message, then func()) bool {
+	if ss.s.Journal == nil {
+		then()
+		return true
+	}
+	if err := ss.s.Journal.AppendThen(m, ss.sync, then); err != nil {
+		ss.s.logf("fleet: device %q: journal: %v", ss.id, err)
+		return false
+	}
+	return true
+}
+
+// shed reports whether a frame of the given tier is refused because its
+// shard queue's fill is at or above threshold (0 disables the tier). A
+// journal-less server counts the shed at once; otherwise it waits in the
+// pending marker until flushShed journals it.
+func (ss *session) shed(threshold float64, tier wire.ShedRecord) bool {
+	if threshold <= 0 || ss.sh.pressure() < threshold {
+		return false
+	}
+	if ss.s.Journal == nil {
+		ss.s.Pool.AddShed(ss.id, tier)
+		return true
+	}
+	ss.pendingShed.Observations += tier.Observations
+	ss.pendingShed.Heartbeats += tier.Heartbeats
+	return true
+}
+
+// flushShed journals the pending shed marker and moves the pool's shed
+// counters inside the journal's stream lock, so a checkpoint freezing the
+// stream captures the marker and its counters together or not at all.
+func (ss *session) flushShed() bool {
+	if ss.pendingShed == (wire.ShedRecord{}) {
+		return true
+	}
+	rec := ss.pendingShed
+	ss.pendingShed = wire.ShedRecord{}
+	jm := wire.Message{Type: wire.TypeShed, SUO: ss.id, At: ss.clock, Shed: &rec}
+	return ss.appendThen(jm, func() { ss.s.Pool.AddShed(ss.id, rec) })
+}
+
+// ingest handles one decoded frame; false ends the connection. Every
+// handler routes by the handshaken device ID, never the spoofable per-frame
+// SUO field.
+func (ss *session) ingest(msg wire.Message, at time.Time) bool {
+	switch msg.Type {
+	case wire.TypeInput, wire.TypeOutput, wire.TypeState:
+		return ss.observation(msg, at)
+	case wire.TypeHeartbeat:
+		return ss.heartbeat(msg)
+	case wire.TypeAck:
+		return ss.ack(msg, at)
+	case wire.TypeSnapshot:
+		return ss.snapshot(msg)
+	case wire.TypeSpectrumDelta:
+		return ss.spectrumDelta(msg)
+	}
+	// Identification repeats and client-side chatter are ignored —
+	// including credit grants and shed markers, which only ever travel
+	// server → client or server → journal.
+	return true
+}
+
+// observation admits one input/output/state frame: credit, shed tier 1,
+// advance vetting, write-ahead dispatch, then mid-stream replenishment.
+func (ss *session) observation(msg wire.Message, ingest time.Time) bool {
+	if msg.Event == nil {
+		return true
+	}
+	s := ss.s
+	// The ingest sampling gate (§6.2): one in SampleN admitted observations
+	// opens a trace here; everything below threads tctx through
+	// unconditionally because a dead context makes every tracer call a
+	// no-op.
+	tctx := s.Tracer.Sample()
+	if ss.window > 0 {
+		if ss.credits == 0 {
+			// Only a peer ignoring its exhausted window gets here: a
+			// compliant client blocks and heartbeats for replenishment
+			// instead. The violation is counted before the error frame
+			// leaves, so a client reading the frame sees the count.
+			s.creditViolations.Add(1)
+			return ss.violation(fmt.Sprintf(
+				"credit window violated: observation sent with the %d-frame window exhausted", ss.window))
 		}
-		if err != nil {
-			s.logf("fleet: device %q: %v", id, err)
-			return
+		ss.credits--
+	}
+	// Mid-stream replenishment is decided on the queue this frame found.
+	replenish := ss.window > 0 && ss.sh.pressure() < replenishPressure
+	if ss.shed(s.ShedObservationsAt, wire.ShedRecord{Observations: 1}) {
+		// The shed frame's credit stays spent, and no mid-stream grant
+		// follows under pressure, so a flooder exhausts its window and
+		// degrades into heartbeat pacing. A sampled-then-shed frame still
+		// leaves a span: the shed decision is exactly the kind of
+		// tail-latency explanation exemplars exist to surface.
+		if tctx.Live() {
+			s.Tracer.Span(tctx, trace.KindShed, ss.sh.idx, ss.id, ingest, time.Since(ingest), false)
 		}
-		// ingest is the frame's decode instant, the start of the interval
-		// the latency SLO is stated over (DispatchAt records its end).
-		ingest := time.Now()
-		switch msg.Type {
-		case wire.TypeInput, wire.TypeOutput, wire.TypeState:
-			if msg.Event == nil {
-				continue
-			}
-			// The ingest sampling gate (§6.2): one in SampleN admitted
-			// observations opens a trace here; everything below threads tctx
-			// through unconditionally because a dead context makes every
-			// tracer call a no-op.
-			tctx := s.Tracer.Sample()
-			if window > 0 {
-				if credits == 0 {
-					// Only a peer ignoring its exhausted window gets here: a
-					// compliant client blocks and heartbeats for
-					// replenishment instead. Disconnect, like any other
-					// protocol violation.
-					rep := wire.ErrorReport{Detector: "ingest", At: clock, Detail: fmt.Sprintf(
-						"credit window violated: observation sent with the %d-frame window exhausted", window)}
-					_ = rc.send(wire.Message{Type: wire.TypeError, SUO: id, Error: &rep, At: clock})
-					s.creditViolations.Add(1)
-					s.logf("fleet: device %q: %s", id, rep.Detail)
-					return
-				}
-				credits--
-			}
-			pressure := -1.0
-			if window > 0 || s.ShedObservationsAt > 0 {
-				pressure = s.Pool.Pressure(id)
-			}
-			if s.ShedObservationsAt > 0 && pressure >= s.ShedObservationsAt {
-				// Shed tier 1: under queue pressure observations drop first —
-				// one lost sample costs a monitor a comparison, not its
-				// state. The frame is refused before the journal and the
-				// pool ever see it; the credit it spent stays spent, and no
-				// mid-stream grant follows under pressure, so a flooder
-				// exhausts its window and degrades into heartbeat pacing.
-				if s.Journal != nil {
-					pendingShed.Observations++
-				} else {
-					s.Pool.AddShed(id, wire.ShedRecord{Observations: 1})
-				}
-				if tctx.Live() {
-					// A sampled-then-shed frame still leaves a span: the shed
-					// decision is exactly the kind of tail-latency explanation
-					// exemplars exist to surface.
-					s.Tracer.Span(tctx, trace.KindShed, s.Pool.ShardOf(id), id, ingest, time.Since(ingest), false)
-				}
-				continue
-			}
-			if !advance(msg.Event.At) {
-				return
-			}
-			if tctx.Live() {
-				// The ingest span closes at admission: decode, credit and
-				// shed vetting are behind the frame, the journal and shard
-				// are ahead. It is the chain's root — the exemplar a /metrics
-				// scrape surfaces resolves back to it.
-				tctx = s.Tracer.Span(tctx, trace.KindIngest, s.Pool.ShardOf(id), id, ingest, time.Since(ingest), false)
-			}
-			// Write-ahead: the frame must be in the journal before the pool
-			// sees it, tagged with the handshaken ID (not the spoofable SUO
-			// field) so replay routes it exactly as live dispatch did. On a
-			// tiered journal the dispatch is enqueued under the stream lock
-			// (see TieredJournal) and a dispatch-class connection does not
-			// wait for the fsync; on a plain journal the append is durable
-			// before the dispatch, as before.
-			var dispatchErr error
-			dispatch := func() { dispatchErr = s.Pool.DispatchTraced(id, *msg.Event, ingest, tctx) }
-			if s.Journal != nil {
-				jm := wire.Message{Type: msg.Type, SUO: id, Event: msg.Event, At: msg.Event.At}
-				var jstart time.Time
-				if tctx.Live() {
-					jstart = time.Now()
-				}
-				var err error
-				if tiered != nil {
-					err = tiered.AppendThen(jm, !relaxed, dispatch)
-				} else {
-					if err = s.Journal.Append(jm); err == nil {
-						dispatch()
-					}
-				}
-				if err != nil {
-					s.logf("fleet: device %q: journal: %v", id, err)
-					return
-				}
-				if tctx.Live() {
-					// The journal span covers the append and this frame's
-					// share of the fsync batch (a dispatch-class connection's
-					// append returns without waiting, and its short span says
-					// so). Parented on ingest, as a sibling of the dispatch
-					// span the shard records — the dispatch was enqueued
-					// under the stream lock, before the fsync resolved.
-					s.Tracer.Span(tctx, trace.KindJournal, s.Pool.ShardOf(id), id, jstart, time.Since(jstart), false)
-				}
-			} else {
-				// The connection's device is fixed at registration: frames
-				// route by the handshaken ID, not a spoofable per-frame field.
-				dispatch()
-			}
-			if dispatchErr != nil {
-				return // pool stopped — nothing left to ingest into
-			}
-			s.frames.Add(1)
-			if window > 0 && credits <= window/2 && pressure < replenishPressure {
-				// Mid-stream replenishment: the window is half spent and the
-				// shard is keeping up, so top it back up without forcing the
-				// client to stall into its next heartbeat. The grant is the
-				// delta consumed, never an absolute reset (see CreditWindow).
-				g := uint32(window - credits)
-				if rc.send(wire.Message{Type: wire.TypeCredit, SUO: id, Credits: g}) != nil {
-					return
-				}
-				s.creditGrants.Add(1)
-				credits = window
-				if tctx.Live() {
-					// The credit span marks a flow-control decision made on
-					// this frame's account: the half-spent window was topped
-					// back up mid-stream.
-					s.Tracer.Span(tctx, trace.KindCredit, s.Pool.ShardOf(id), id, ingest, time.Since(ingest), false)
-				}
-			}
-		case wire.TypeHeartbeat:
-			if s.ShedHeartbeatsAt > 0 && s.Pool.Pressure(id) >= s.ShedHeartbeatsAt {
-				// Shed tier 2: near saturation even the heartbeat is refused
-				// — no clock advance, no flush barrier, no echo. A compliant
-				// client waiting on the echo simply waits longer and
-				// retries; the silence IS the backpressure. Control traffic
-				// (tier 3) is never shed — see ShedObservationsAt.
-				if s.Journal != nil {
-					pendingShed.Heartbeats++
-				} else {
-					s.Pool.AddShed(id, wire.ShedRecord{Heartbeats: 1})
-				}
-				continue
-			}
-			if !advance(msg.At) {
-				return
-			}
-			// The pending shed marker flushes write-ahead of the heartbeat
-			// record, so replay restores the shed counters at the same
-			// stream position the live pool reached them by.
-			if !flushShed() {
-				return
-			}
-			// Heartbeats are journaled too: replay must re-run the same
-			// silence sweeps and comparison windows the live pool ran. On a
-			// fsync-class connection the journaled heartbeat marks every
-			// frame before it durable, so the echo below also acknowledges
-			// durability; on a dispatch-class connection the echo promises
-			// monitoring only — the unsynced tail can be lost to a crash,
-			// which is exactly the class the client asked for.
-			var advErr error
-			adv := func() { advErr = s.Pool.AdvanceDevice(id, msg.At) }
-			if s.Journal != nil {
-				hb := wire.Message{Type: wire.TypeHeartbeat, SUO: id, At: msg.At}
-				var err error
-				if tiered != nil {
-					err = tiered.AppendThen(hb, !relaxed, adv)
-				} else {
-					if err = s.Journal.Append(hb); err == nil {
-						adv()
-					}
-				}
-				if err != nil {
-					s.logf("fleet: device %q: journal: %v", id, err)
-					return
-				}
-			} else {
-				adv()
-			}
-			// Heartbeats carry time and act as a flush barrier. The carried
-			// At advances the device's virtual clock, so a quiet-but-alive
-			// SUO still gets silence sweeps and periodic comparison; the
-			// echo is only written after every earlier observation on this
-			// connection has been through the device's monitor, so any
-			// error frames they raised are already on the wire. Clients
-			// drain by heartbeating before close. If the pool refuses the
-			// barrier (daemon draining), no echo must be sent — a false
-			// echo would tell the client its frames were monitored.
-			if advErr != nil {
-				return
-			}
-			if err := s.Pool.FlushDevice(id); err != nil {
-				return
-			}
-			echo := wire.Message{Type: wire.TypeHeartbeat, SUO: id, At: msg.At}
-			if window > 0 {
-				// The echo always restores the full window: the flush
-				// barrier above just drained this connection's backlog, so
-				// the shard owes it a fresh start. Delta grant, as always.
-				echo.Credits = uint32(window - credits)
-				credits = window
-			}
-			if rc.send(echo) != nil {
-				return
-			}
-		case wire.TypeAck:
-			// A control-command acknowledgement. Its At is client time and
-			// is vetted like any other — an ack is the one frame a restarted
-			// device may send before resuming its observation stream.
-			if !advance(msg.At) {
-				return
-			}
-			if actx := trace.FromWire(msg.Trace); actx.Live() {
-				// The device echoed a control push's trace context: close the
-				// exchange with a forced ack span parented on the push's span.
-				s.Tracer.Span(actx, trace.KindAck, -1, id, ingest, time.Since(ingest), true)
-			}
-			if s.OnAck != nil {
-				s.OnAck(id, msg)
-			}
-		case wire.TypeSnapshot:
-			// Coverage evidence answering a RequestSnapshot pull. Its At is
-			// client time, vetted like any other; the payload is handed to
-			// the diagnosis plane under the handshaken ID, never the
-			// spoofable SUO field.
-			if !advance(msg.At) {
-				return
-			}
-			if s.OnSnapshot != nil {
-				s.OnSnapshot(id, msg)
-			}
-		case wire.TypeSpectrumDelta:
-			// Continuous coverage evidence riding the heartbeat cadence. It
-			// sheds with tier 1 (observations): a delta is diagnosis input,
-			// not control, and one lost window only thins the evidence. It
-			// spends no credit — like the heartbeat it rides on, its rate is
-			// bounded by the heartbeat cadence, not the observation firehose.
-			if msg.Delta == nil {
-				continue
-			}
-			if s.ShedObservationsAt > 0 && s.Pool.Pressure(id) >= s.ShedObservationsAt {
-				if s.Journal != nil {
-					pendingShed.Observations++
-				} else {
-					s.Pool.AddShed(id, wire.ShedRecord{Observations: 1})
-				}
-				continue
-			}
-			if !advance(msg.At) {
-				return
-			}
-			if s.OnSpectrumDelta != nil {
-				s.OnSpectrumDelta(id, msg)
-			}
-		case wire.TypeHello, wire.TypeControl, wire.TypeError, wire.TypeSpecInfo, wire.TypeSnapshotReq,
-			wire.TypeCredit, wire.TypeShed:
-			// Identification repeats and client-side chatter are ignored —
-			// including credit grants and shed markers, which only ever
-			// travel server → client or server → journal.
+		return true
+	}
+	if !ss.advance(msg.Event.At) {
+		return false
+	}
+	var jstart time.Time
+	if tctx.Live() {
+		// The ingest span closes at admission: decode, credit and shed
+		// vetting are behind the frame, the journal and shard are ahead. It
+		// is the chain's root — the exemplar a /metrics scrape surfaces
+		// resolves back to it.
+		tctx = s.Tracer.Span(tctx, trace.KindIngest, ss.sh.idx, ss.id, ingest, time.Since(ingest), false)
+		jstart = time.Now()
+	}
+	ev := msg.Event
+	var err error
+	jm := wire.Message{Type: msg.Type, SUO: ss.id, Event: ev, At: ev.At}
+	if !ss.appendThen(jm, func() { err = s.Pool.DispatchTraced(ss.id, *ev, ingest, tctx) }) {
+		return false
+	}
+	if tctx.Live() && s.Journal != nil {
+		// The journal span covers the append and this frame's share of the
+		// fsync batch (a dispatch-class connection's append returns without
+		// waiting, and its short span says so). Parented on ingest, as a
+		// sibling of the dispatch span the shard records.
+		s.Tracer.Span(tctx, trace.KindJournal, ss.sh.idx, ss.id, jstart, time.Since(jstart), false)
+	}
+	if err != nil {
+		return false // pool stopped — nothing left to ingest into
+	}
+	s.frames.Add(1)
+	if replenish && ss.credits <= ss.window/2 {
+		// The window is half spent and the shard is keeping up: top it back
+		// up (the delta consumed, never an absolute reset) without forcing
+		// the client to stall into its next heartbeat. Counted before it is
+		// sent, like a violation.
+		s.creditGrants.Add(1)
+		if ss.rc.send(wire.Message{Type: wire.TypeCredit, SUO: ss.id, Credits: uint32(ss.window - ss.credits)}) != nil {
+			return false
+		}
+		ss.credits = ss.window
+		if tctx.Live() {
+			// The credit span marks a flow-control decision made on this
+			// frame's account.
+			s.Tracer.Span(tctx, trace.KindCredit, ss.sh.idx, ss.id, ingest, time.Since(ingest), false)
 		}
 	}
+	return true
+}
+
+// heartbeat runs one heartbeat: shed tier 2, advance vetting, the pending
+// shed marker and the heartbeat itself journaled write-ahead of the clock
+// advance, the flush barrier, and the echo with its credit grant.
+func (ss *session) heartbeat(msg wire.Message) bool {
+	s := ss.s
+	if ss.shed(s.ShedHeartbeatsAt, wire.ShedRecord{Heartbeats: 1}) {
+		// No clock advance, no flush barrier, no echo: a compliant client
+		// waiting on the echo waits longer; the silence IS the backpressure.
+		return true
+	}
+	// The pending shed marker flushes write-ahead of the heartbeat record,
+	// so replay restores the shed counters at the same stream position the
+	// live pool reached them by.
+	if !ss.advance(msg.At) || !ss.flushShed() {
+		return false
+	}
+	// Heartbeats are journaled too: replay must re-run the same silence
+	// sweeps and comparison windows the live pool ran. On a fsync-class
+	// connection the journaled heartbeat marks every frame before it
+	// durable, so the echo below also acknowledges durability; on a
+	// dispatch-class connection the echo promises monitoring only — the
+	// unsynced tail can be lost to a crash, which is exactly the class the
+	// client asked for.
+	hb := wire.Message{Type: wire.TypeHeartbeat, SUO: ss.id, At: msg.At}
+	var err error
+	if !ss.appendThen(hb, func() { err = s.Pool.AdvanceDevice(ss.id, msg.At) }) {
+		return false
+	}
+	// Heartbeats carry time and act as a flush barrier. The carried At
+	// advances the device's virtual clock, so a quiet-but-alive SUO still
+	// gets silence sweeps and periodic comparison; the echo is only written
+	// after every earlier observation on this connection has been through
+	// the device's monitor, so any error frames they raised are already on
+	// the wire. Clients drain by heartbeating before close. If the pool
+	// refuses the barrier (daemon draining), no echo must be sent — a false
+	// echo would tell the client its frames were monitored.
+	if err != nil || s.Pool.FlushDevice(ss.id) != nil {
+		return false
+	}
+	if ss.window > 0 {
+		// The echo always restores the full window: the flush barrier just
+		// drained this connection's backlog, so the shard owes it a fresh
+		// start. Delta grant, as always.
+		hb.Credits = uint32(ss.window - ss.credits)
+		ss.credits = ss.window
+	}
+	return ss.rc.send(hb) == nil
+}
+
+// ack routes a control-command acknowledgement. Its At is client time and
+// is vetted like any other — an ack is the one frame a restarted device may
+// send before resuming its observation stream.
+func (ss *session) ack(msg wire.Message, ingest time.Time) bool {
+	if !ss.advance(msg.At) {
+		return false
+	}
+	if actx := trace.FromWire(msg.Trace); actx.Live() {
+		// The device echoed a control push's trace context: close the
+		// exchange with a forced ack span parented on the push's span.
+		ss.s.Tracer.Span(actx, trace.KindAck, -1, ss.id, ingest, time.Since(ingest), true)
+	}
+	if ss.s.OnAck != nil {
+		ss.s.OnAck(ss.id, msg)
+	}
+	return true
+}
+
+// snapshot hands coverage evidence answering a RequestSnapshot pull to the
+// diagnosis plane. Its At is client time, vetted like any other.
+func (ss *session) snapshot(msg wire.Message) bool {
+	if !ss.advance(msg.At) {
+		return false
+	}
+	if ss.s.OnSnapshot != nil {
+		ss.s.OnSnapshot(ss.id, msg)
+	}
+	return true
+}
+
+// spectrumDelta hands continuous coverage evidence to the diagnosis plane.
+// It sheds with the observations (see OnSpectrumDelta) but spends no
+// credit: like the heartbeat it rides on, its rate is the heartbeat cadence.
+func (ss *session) spectrumDelta(msg wire.Message) bool {
+	if msg.Delta == nil || ss.shed(ss.s.ShedObservationsAt, wire.ShedRecord{Observations: 1}) {
+		return true
+	}
+	if !ss.advance(msg.At) {
+		return false
+	}
+	if ss.s.OnSpectrumDelta != nil {
+		ss.s.OnSpectrumDelta(ss.id, msg)
+	}
+	return true
 }

@@ -1,6 +1,6 @@
 package spectrum
 
-// Ablation benches for the design choices DESIGN.md calls out: the packed
+// Ablation benches for the spectrum package's design choices: the packed
 // bitset representation of spectra versus a naive map-based one, at the
 // paper's scale (60 000 blocks).
 

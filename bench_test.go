@@ -13,10 +13,9 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
+	"trader/internal/client"
 	"trader/internal/control"
 	"trader/internal/core"
 	"trader/internal/diagnose"
@@ -517,109 +516,53 @@ func BenchmarkFleetIngestion(b *testing.B) {
 			defer ln.Close()
 			go srv.Serve(ln)
 
-			clients := make([]*wire.Conn, conns)
-			echo := make([]*atomic.Int64, conns)
-			credits := make([]*atomic.Int64, conns)
-			addr := ln.Addr().String()
+			// Every connection is a credit-compliant device client: Send
+			// spends the window and solicits a grant when a mid-stream one
+			// is late; Flush waits on the echo watermark.
+			opts := client.Options{Codec: codec}
+			if cfg.relaxed {
+				opts.Durability = wire.DurDispatch
+			}
+			clients := make([]*client.Client, conns)
 			for i := range clients {
-				var wc *wire.Conn
-				var err error
-				cr := &atomic.Int64{}
-				credits[i] = cr
-				switch {
-				case cfg.flow:
-					var granted uint32
-					wc, _, granted, err = wire.DialFlow("unix:"+addr, fmt.Sprintf("bench-%03d", i), codec, wire.DurFsync)
-					cr.Store(int64(granted))
-				case cfg.relaxed:
-					wc, _, err = wire.DialTiered("unix:"+addr, fmt.Sprintf("bench-%03d", i), codec, wire.DurDispatch)
-				default:
-					wc, err = wire.Dial("unix:"+addr, fmt.Sprintf("bench-%03d", i), codec)
-				}
+				c, err := client.New("unix:"+ln.Addr().String(), fmt.Sprintf("bench-%03d", i), opts)
 				if err != nil {
 					b.Fatal(err)
 				}
-				defer wc.Close()
-				clients[i] = wc
-				last := &atomic.Int64{}
-				echo[i] = last
-				go func(wc *wire.Conn, last, cr *atomic.Int64) {
-					for {
-						msg, err := wc.Decode()
-						if err != nil {
-							return
-						}
-						switch msg.Type {
-						case wire.TypeCredit:
-							cr.Add(int64(msg.Credits))
-						case wire.TypeHeartbeat:
-							// The echo also replenishes the window; recording
-							// just the newest At keeps this reader non-
-							// blocking — a reader parked on a full signal
-							// channel would stop draining grants, wedge the
-							// window shut and trip the server's write timeout.
-							cr.Add(int64(msg.Credits))
-							if at := int64(msg.At); at > last.Load() {
-								last.Store(at)
-							}
-						}
-					}
-				}(wc, last, cr)
+				defer c.Close()
+				clients[i] = c
 			}
 
 			per := b.N/conns + 1
 			finalAt := sim.Time(per+1) * sim.Millisecond
 			b.ResetTimer()
 			var wg sync.WaitGroup
-			for i, wc := range clients {
+			for i, c := range clients {
 				wg.Add(1)
-				go func(i int, wc *wire.Conn) {
+				go func(i int, c *client.Client) {
 					defer wg.Done()
 					id := fmt.Sprintf("bench-%03d", i)
-					cr := credits[i]
 					for j := 0; j < per; j++ {
 						at := sim.Time(j+1) * sim.Millisecond
-						if cfg.flow {
-							// Compliant streaming: mid-stream grants normally
-							// arrive before the window drains; if one is late,
-							// solicit the echo grant and wait it out.
-							for cr.Load() <= 0 {
-								if err := wc.Encode(wire.Message{Type: wire.TypeHeartbeat, SUO: id, At: at}); err != nil {
-									b.Error(err)
-									return
-								}
-								time.Sleep(time.Millisecond)
-							}
-							cr.Add(-1)
-						}
 						if cfg.continuous && j%contDeltaEvery == 0 {
 							d := &wire.SpectrumDelta{Seq: uint64(j / contDeltaEvery),
 								Blocks: contBlocks, Index: contIndex, Words: contWords}
-							if err := wc.Encode(wire.Message{Type: wire.TypeSpectrumDelta,
+							if err := c.Encode(wire.Message{Type: wire.TypeSpectrumDelta,
 								SUO: id, At: at, Delta: d}); err != nil {
 								b.Error(err)
 								return
 							}
 						}
 						ev := event.Event{Kind: event.Output, Name: "out", Source: id, At: at}.With("x", 0)
-						if err := wc.SendEvent(id, ev); err != nil {
+						if err := c.Send(ev); err != nil {
 							b.Error(err)
 							return
 						}
 					}
-					if err := wc.Encode(wire.Message{Type: wire.TypeHeartbeat, SUO: id, At: finalAt}); err != nil {
+					if err := c.Flush(finalAt); err != nil {
 						b.Error(err)
-						return
 					}
-					deadline := time.Now().Add(30 * time.Second)
-					for echo[i].Load() < int64(finalAt) {
-						if time.Now().After(deadline) {
-							b.Error("heartbeat echo timeout")
-							return
-						}
-						time.Sleep(100 * time.Microsecond)
-					}
-				}(i, wc)
+				}(i, c)
 			}
 			wg.Wait()
 			b.StopTimer()

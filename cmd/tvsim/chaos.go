@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"trader/internal/client"
 	"trader/internal/event"
 	"trader/internal/sim"
 	"trader/internal/wire"
@@ -52,9 +53,10 @@ type chaosTally struct {
 	stalls    atomic.Uint64 // credit-window stalls honored (compliant roles)
 }
 
-// chaosDial hands back the raw conn next to the wire conn: chaos roles need
-// read deadlines (a shed heartbeat has no echo; a blocked Decode must not
-// outlive the soak) and raw byte access (byzantine frames).
+// chaosDial hands back the raw conn next to the wire conn: the roles that
+// break the protocol on purpose need read deadlines (a blocked Decode must
+// not outlive the soak) and raw byte access (byzantine frames), which the
+// compliant device client does not offer.
 func chaosDial(addr, id, codec string, dur wire.Durability) (net.Conn, *wire.Conn, uint32, error) {
 	network, address, err := wire.SplitAddr(addr)
 	if err != nil {
@@ -73,10 +75,15 @@ func chaosDial(addr, id, codec string, dur wire.Durability) (net.Conn, *wire.Con
 	return raw, wc, credits, nil
 }
 
-// chaosObsMessage is the observation chaos devices stream: in-spec (x = 0),
-// so admitted frames cost the monitors comparisons, not deviation handling.
+// chaosObs is the observation chaos devices stream: in-spec (x = 0), so
+// admitted frames cost the monitors comparisons, not deviation handling.
+func chaosObs(id string, at sim.Time) event.Event {
+	return event.Event{Kind: event.Output, Name: "out", Source: id, At: at}.With("x", 0)
+}
+
+// chaosObsMessage frames chaosObs for the roles that write raw frames.
 func chaosObsMessage(id string, at sim.Time) wire.Message {
-	ev := event.Event{Kind: event.Output, Name: "out", Source: id, At: at}.With("x", 0)
+	ev := chaosObs(id, at)
 	return wire.Message{Type: wire.TypeOutput, SUO: id, Event: &ev, At: at}
 }
 
@@ -148,89 +155,59 @@ func runChaos(addr, prefix string, n int, codec string, seed int64, wallSecs int
 	return nil
 }
 
-// chaosCompliant is one compliant session: stream observations honoring the
-// credit window (solicit-and-drain on exhaustion), heartbeat periodically,
-// disconnect cleanly at the deadline. pace 0 floods as fast as grants
-// allow; otherwise it sleeps pace per frame. With deltas on, every drain
-// heartbeat carries a small spectrum delta first — the continuous-diagnosis
-// traffic a real device piggybacks, kept flowing while the hostile roles
-// rage, so the soak proves the diagnosis inbox sheds nothing
-// (trader_diagnose_dropped_total stays 0).
+// chaosCompliant is one compliant session on the device client: stream
+// observations honoring the credit window (Send solicits a grant and waits
+// on exhaustion), flush every 500ms of virtual time, disconnect at the
+// deadline. pace 0 floods as fast as grants allow; otherwise it sleeps pace
+// per frame. With deltas on, every flush heartbeat carries a small spectrum
+// delta first — the continuous-diagnosis traffic a real device piggybacks,
+// kept flowing while the hostile roles rage, so the soak proves the
+// diagnosis inbox sheds nothing (trader_diagnose_dropped_total stays 0).
 func chaosCompliant(addr, id, codec string, dur wire.Durability, t *chaosTally, deadline time.Time, pace time.Duration, deltas bool, blocks int) {
-	raw, wc, credits, err := chaosDial(addr, id, codec, dur)
+	c, err := client.New(addr, id, client.Options{Codec: codec, Durability: dur})
 	if err != nil {
 		t.dialErrs.Add(1)
 		return
 	}
 	t.conns.Add(1)
-	defer raw.Close()
-	window := credits != 0
+	// Closing at the deadline also releases a Send stalled on its window
+	// or a Flush waiting out a shed heartbeat.
+	stop := time.AfterFunc(time.Until(deadline), c.Close)
+	defer func() {
+		stop.Stop()
+		c.Close()
+		st := c.Stats()
+		t.frames.Add(st.Sent)
+		t.stalls.Add(st.Stalls)
+		t.errFrames.Add(st.Reports)
+	}()
 	at := sim.Time(0)
-	// drain sends a heartbeat and reads until its echo, crediting every
-	// grant on the way. A shed heartbeat (tier 2) yields no echo: the read
-	// deadline turns that silence into a retry, exactly like a real client
-	// waiting out the daemon's backpressure.
-	drain := func() bool {
-		at += 10 * sim.Millisecond
+	for time.Now().Before(deadline) {
+		at += 5 * sim.Millisecond
+		if err := c.Send(chaosObs(id, at)); err != nil {
+			if time.Now().Before(deadline) {
+				t.drops.Add(1)
+			}
+			return
+		}
+		if pace > 0 {
+			time.Sleep(pace)
+		}
+		if at%(500*sim.Millisecond) != 0 {
+			continue
+		}
 		if deltas {
 			// Seq tracks virtual time, so it is strictly increasing within
 			// the session; a later session's restart from low Seqs is simply
 			// deduped by the engine's fold mark, never an error.
 			d := &wire.SpectrumDelta{Seq: uint64(at), Blocks: blocks,
 				Index: []uint32{0}, Words: []uint64{1}}
-			if wc.Encode(wire.Message{Type: wire.TypeSpectrumDelta, SUO: id, At: at, Delta: d}) != nil {
+			_ = c.Encode(wire.Message{Type: wire.TypeSpectrumDelta, SUO: id, At: at, Delta: d})
+		}
+		if err := c.Flush(at); err != nil {
+			if time.Now().Before(deadline) {
 				t.drops.Add(1)
-				return false
 			}
-		}
-		if wc.Encode(wire.Message{Type: wire.TypeHeartbeat, SUO: id, At: at}) != nil {
-			t.drops.Add(1)
-			return false
-		}
-		for {
-			_ = raw.SetReadDeadline(time.Now().Add(500 * time.Millisecond))
-			msg, err := wc.Decode()
-			if err != nil {
-				if ne, ok := err.(net.Error); ok && ne.Timeout() {
-					return time.Now().Before(deadline) // shed echo: retry outside
-				}
-				t.drops.Add(1)
-				return false
-			}
-			switch msg.Type {
-			case wire.TypeCredit:
-				credits += msg.Credits
-			case wire.TypeHeartbeat:
-				credits += msg.Credits
-				if msg.At == at {
-					return true
-				}
-			case wire.TypeError:
-				t.errFrames.Add(1)
-			}
-		}
-	}
-	for time.Now().Before(deadline) {
-		if window && credits == 0 {
-			t.stalls.Add(1)
-			if !drain() {
-				return
-			}
-			continue
-		}
-		at += 5 * sim.Millisecond
-		if wc.Encode(chaosObsMessage(id, at)) != nil {
-			t.drops.Add(1)
-			return
-		}
-		t.frames.Add(1)
-		if window {
-			credits--
-		}
-		if pace > 0 {
-			time.Sleep(pace)
-		}
-		if at%(500*sim.Millisecond) == 0 && !drain() {
 			return
 		}
 	}
@@ -270,43 +247,39 @@ func chaosHostile(addr, id, codec string, dur wire.Durability, t *chaosTally, de
 }
 
 // chaosChurn is registration pressure: stream briefly, leave cleanly,
-// reconnect (the caller loops).
+// reconnect (the caller loops). Churners are credit-compliant too.
 func chaosChurn(addr, id, codec string, dur wire.Durability, t *chaosTally) {
-	raw, wc, credits, err := chaosDial(addr, id, codec, dur)
+	c, err := client.New(addr, id, client.Options{Codec: codec, Durability: dur})
 	if err != nil {
 		t.dialErrs.Add(1)
 		return
 	}
 	t.conns.Add(1)
-	defer raw.Close()
-	burst := 5
-	if credits != 0 && int(credits) < burst {
-		burst = int(credits) // churners are compliant too
-	}
+	defer c.Close()
 	at := sim.Time(0)
-	for i := 0; i < burst; i++ {
+	for i := 0; i < 5; i++ {
 		at += sim.Millisecond
-		if wc.Encode(chaosObsMessage(id, at)) != nil {
+		if c.Send(chaosObs(id, at)) != nil {
 			t.drops.Add(1)
 			return
 		}
 		t.frames.Add(1)
 	}
-	_ = wc.Encode(wire.Message{Type: wire.TypeHeartbeat, SUO: id, At: at})
+	_ = c.Encode(wire.Message{Type: wire.TypeHeartbeat, SUO: id, At: at})
 }
 
 // chaosFlap is the half-open client: handshake, silence, vanish. The
 // daemon's reaper (heartbeat-less connections, write deadlines) must keep
 // the registration table from leaking.
 func chaosFlap(addr, id, codec string, dur wire.Durability, t *chaosTally, idleMs int) {
-	raw, _, _, err := chaosDial(addr, id, codec, dur)
+	c, err := client.New(addr, id, client.Options{Codec: codec, Durability: dur})
 	if err != nil {
 		t.dialErrs.Add(1)
 		return
 	}
 	t.conns.Add(1)
 	time.Sleep(time.Duration(50+idleMs) * time.Millisecond)
-	raw.Close() // abrupt: no drain heartbeat, no goodbye
+	c.Close() // abrupt: no drain heartbeat, no goodbye
 }
 
 // chaosSlowRead streams but never reads its downstream. Heartbeat echoes

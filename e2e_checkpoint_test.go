@@ -18,40 +18,13 @@ import (
 	"testing"
 	"time"
 
+	"trader/internal/client"
 	"trader/internal/event"
 	"trader/internal/fleet"
 	"trader/internal/journal"
 	"trader/internal/sim"
 	"trader/internal/wire"
 )
-
-// dialE2ETiered is dialE2E with a durability request in the Hello, returning
-// the class the server granted alongside the client.
-func dialE2ETiered(t *testing.T, addr, id, codec string, dur wire.Durability) (*e2eClient, wire.Durability) {
-	t.Helper()
-	conn, granted, err := wire.DialTiered(addr, id, codec, dur)
-	if err != nil {
-		t.Fatalf("%s: %v", id, err)
-	}
-	c := &e2eClient{id: id, conn: conn, echo: make(chan sim.Time, 16)}
-	go func() {
-		for {
-			msg, err := conn.Decode()
-			if err != nil {
-				return
-			}
-			switch msg.Type {
-			case wire.TypeError:
-				c.mu.Lock()
-				c.reports++
-				c.mu.Unlock()
-			case wire.TypeHeartbeat:
-				c.echo <- msg.At
-			}
-		}
-	}()
-	return c, granted
-}
 
 func TestE2ECheckpointReplay(t *testing.T) {
 	const (
@@ -123,7 +96,8 @@ func TestE2ECheckpointReplay(t *testing.T) {
 			if i%2 == 1 {
 				req = wire.DurDispatch
 			}
-			clients[i], granted[i] = dialE2ETiered(t, addr, cpID(i), wire.CodecBinary, req)
+			clients[i] = dialE2E(t, addr, cpID(i), client.Options{Codec: wire.CodecBinary, Durability: req})
+			granted[i] = clients[i].Stats().Durability
 			clients[i].stream(t, framesA, levelOf(i), 10)
 		}(i)
 	}

@@ -17,7 +17,6 @@ import (
 	"io"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -52,178 +51,6 @@ func silenceMonitorFactory() fleet.MonitorFactory {
 			return nil, nil, err
 		}
 		return k, mon, nil
-	}
-}
-
-// recoveryClient is a remote SUO that honors the control plane: it streams
-// observations, acks resets, re-handshakes on restart and stops on
-// quarantine — the in-test twin of tvsim's -connect client.
-type recoveryClient struct {
-	t        *testing.T
-	addr, id string
-
-	mu          sync.Mutex
-	wc          *wire.Conn
-	down        bool
-	quarantined bool
-	// stopped latches at close: a restart re-dial still in flight must
-	// not resurrect the connection after the session ended.
-	stopped bool
-
-	lastAt              atomic.Int64
-	reports             atomic.Uint64
-	restartsHonored     atomic.Uint64
-	quarantinesReceived atomic.Uint64
-	echo                chan sim.Time
-}
-
-func dialRecovery(t *testing.T, addr, id string) *recoveryClient {
-	t.Helper()
-	c := &recoveryClient{t: t, addr: addr, id: id, echo: make(chan sim.Time, 64)}
-	wc, err := wire.Dial(addr, id, wire.CodecBinary)
-	if err != nil {
-		t.Fatalf("%s: %v", id, err)
-	}
-	c.wc = wc
-	go c.read(wc)
-	return c
-}
-
-func (c *recoveryClient) conn() *wire.Conn {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.down || c.wc == nil {
-		return nil
-	}
-	return c.wc
-}
-
-func (c *recoveryClient) isQuarantined() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.quarantined
-}
-
-func (c *recoveryClient) read(wc *wire.Conn) {
-	for {
-		msg, err := wc.Decode()
-		if err != nil {
-			return
-		}
-		switch msg.Type {
-		case wire.TypeError:
-			c.reports.Add(1)
-		case wire.TypeHeartbeat:
-			select {
-			case c.echo <- msg.At:
-			default:
-			}
-		case wire.TypeControl:
-			switch msg.Control {
-			case wire.CtrlReset:
-				if live := c.conn(); live != nil {
-					ack := wire.Ack(c.id, wire.CtrlReset, sim.Time(c.lastAt.Load()))
-					// Echo the push's trace context (nil when untraced), so
-					// the server closes the exchange with a forced ack span.
-					ack.Trace = msg.Trace
-					_ = live.Encode(ack)
-				}
-			case wire.CtrlRestart:
-				// Honored synchronously: a restarting SUO stops consuming
-				// its old connection (anything still buffered there is
-				// lost with it — the server re-delivers a quarantine
-				// verdict on the next handshake). The next Decode sees the
-				// closed old connection and ends this reader.
-				c.restart(msg.Trace)
-			case wire.CtrlQuarantine:
-				c.quarantinesReceived.Add(1)
-				c.mu.Lock()
-				c.quarantined, c.down = true, true
-				c.mu.Unlock()
-				wc.Close()
-				return
-			}
-		}
-	}
-}
-
-func (c *recoveryClient) restart(tc *wire.TraceContext) {
-	c.mu.Lock()
-	if c.quarantined || c.stopped {
-		c.mu.Unlock()
-		return
-	}
-	c.down = true
-	old := c.wc
-	c.wc = nil
-	c.mu.Unlock()
-	if old != nil {
-		old.Close()
-	}
-	var wc *wire.Conn
-	var err error
-	for try := 0; try < 100; try++ {
-		if wc, err = wire.Dial(c.addr, c.id, wire.CodecBinary); err == nil {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if err != nil {
-		c.t.Errorf("%s: restart re-handshake: %v", c.id, err)
-		return
-	}
-	c.mu.Lock()
-	if c.quarantined || c.stopped { // overtaken while re-dialing: stay down
-		c.mu.Unlock()
-		wc.Close()
-		return
-	}
-	c.wc = wc
-	c.down = false
-	c.mu.Unlock()
-	// Only now is the restart honored: re-handshaken and streaming again.
-	c.restartsHonored.Add(1)
-	ack := wire.Ack(c.id, wire.CtrlRestart, sim.Time(c.lastAt.Load()))
-	ack.Trace = tc
-	_ = wc.Encode(ack)
-	go c.read(wc)
-}
-
-// frame streams one observation; lost frames while down are the downtime.
-func (c *recoveryClient) frame(at sim.Time, x float64) {
-	wc := c.conn()
-	if wc == nil {
-		return
-	}
-	c.lastAt.Store(int64(at))
-	ev := event.Event{Kind: event.Output, Name: "out", Source: c.id, At: at}.With("x", x)
-	_ = wc.SendEvent(c.id, ev)
-}
-
-// flush heartbeats and waits for the echo — the per-connection pacing
-// barrier that keeps the client from outrunning its shard.
-func (c *recoveryClient) flush(at sim.Time) {
-	wc := c.conn()
-	if wc == nil {
-		return
-	}
-	c.lastAt.Store(int64(at))
-	if wc.Encode(wire.Message{Type: wire.TypeHeartbeat, SUO: c.id, At: at}) != nil {
-		return
-	}
-	select {
-	case <-c.echo:
-	case <-time.After(2 * time.Second):
-	}
-}
-
-func (c *recoveryClient) close() {
-	c.mu.Lock()
-	wc := c.wc
-	c.wc, c.down, c.stopped = nil, true, true
-	c.mu.Unlock()
-	if wc != nil {
-		wc.Close()
 	}
 }
 
@@ -283,45 +110,54 @@ func TestE2EFaultInjectionRecovery(t *testing.T) {
 	// only the silence detector can catch them. Faulty devices keep
 	// producing evidence past the nominal horizon until the controller has
 	// quarantined them (capped, so a stalled ladder fails the test).
-	clients := make([]*recoveryClient, devices)
+	clients := make([]*e2eClient, devices)
 	var wg sync.WaitGroup
 	for i := 0; i < devices; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c := dialRecovery(t, addr, id(i))
+			c := dialE2E(t, addr, id(i), binaryOpts)
 			clients[i] = c
-			defer c.close()
+			defer c.Close()
 			x := 0.0
 			if faulty(i) && !silent(i) {
 				x = 2.0
 			}
+			// Frames sent while the device is down are lost: the downtime.
 			step := func(n int) {
 				at := sim.Time(n) * tick
 				switch {
 				case silent(i) && n > 10:
 					if n%5 == 0 {
-						c.flush(at)
+						_ = c.Flush(at)
 					}
 				default:
-					c.frame(at, x)
+					_ = c.Send(obsAt(id(i), at, x))
 					if n%10 == 0 {
-						c.flush(at)
+						_ = c.Flush(at)
 					}
 				}
 			}
+			// A device mid-restart waits it out in both phases: Flush
+			// returns as soon as the restart tears its connection down, so
+			// without the wait this loop would run through its remaining
+			// ticks with every frame dropped.
 			for n := 1; n <= ticks; n++ {
-				if c.isQuarantined() {
+				if c.Stats().Quarantines > 0 {
 					return
+				}
+				if c.Stats().Down {
+					time.Sleep(5 * time.Millisecond)
+					continue
 				}
 				step(n)
 			}
 			if !faulty(i) {
-				c.flush(sim.Time(ticks) * tick)
+				_ = c.Flush(sim.Time(ticks) * tick)
 				return
 			}
-			for n := ticks + 1; n <= 2000 && !c.isQuarantined(); n++ {
-				if c.conn() == nil {
+			for n := ticks + 1; n <= 2000 && c.Stats().Quarantines == 0; n++ {
+				if c.Stats().Down {
 					time.Sleep(5 * time.Millisecond) // mid-restart: wait it out
 					continue
 				}
@@ -330,6 +166,11 @@ func TestE2EFaultInjectionRecovery(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	for i, c := range clients {
+		if n := c.Stats().RedialFailures; n != 0 {
+			t.Errorf("%s: restart re-handshake failed %d times", id(i), n)
+		}
+	}
 	if t.Failed() {
 		t.FailNow()
 	}
@@ -367,7 +208,7 @@ func TestE2EFaultInjectionRecovery(t *testing.T) {
 			if len(acts) != 0 {
 				t.Fatalf("healthy %s drew actions %v", id(i), acts)
 			}
-			if n := clients[i].reports.Load(); n != 0 {
+			if n := clients[i].Stats().Reports; n != 0 {
 				t.Fatalf("healthy %s received %d error frames", id(i), n)
 			}
 			continue
@@ -389,10 +230,10 @@ func TestE2EFaultInjectionRecovery(t *testing.T) {
 				t.Fatalf("%s: action %s classified %s, want %s", id(i), a.Rung, a.Class, wantClass)
 			}
 		}
-		if n := clients[i].restartsHonored.Load(); n != 1 {
+		if n := clients[i].Stats().Restarts; n != 1 {
 			t.Fatalf("%s honored %d restarts, want 1", id(i), n)
 		}
-		if n := clients[i].quarantinesReceived.Load(); n != 1 {
+		if n := clients[i].Stats().Quarantines; n != 1 {
 			t.Fatalf("%s received %d quarantines, want 1", id(i), n)
 		}
 	}

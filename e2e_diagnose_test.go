@@ -16,89 +16,18 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"trader/internal/client"
 	"trader/internal/control"
 	"trader/internal/diagnose"
-	"trader/internal/event"
 	"trader/internal/fleet"
 	"trader/internal/journal"
 	"trader/internal/sim"
 	"trader/internal/spectrum"
 	"trader/internal/wire"
 )
-
-// diagClient is a remote SUO with a spectral flight recorder: it streams
-// observations, heartbeats once per round (rotating its coverage window),
-// and answers snapshot pulls — the in-test twin of tvsim's -connect client
-// with -diagnose on the daemon.
-type diagClient struct {
-	t   *testing.T
-	id  string
-	wc  *wire.Conn
-	rec *diagnose.Recorder
-
-	lastAt atomic.Int64
-	echo   chan sim.Time
-	pulls  atomic.Uint64
-}
-
-func dialDiag(t *testing.T, addr, id string, rec *diagnose.Recorder) *diagClient {
-	t.Helper()
-	wc, err := wire.Dial(addr, id, wire.CodecBinary)
-	if err != nil {
-		t.Fatalf("%s: %v", id, err)
-	}
-	c := &diagClient{t: t, id: id, wc: wc, rec: rec, echo: make(chan sim.Time, 64)}
-	go c.read()
-	return c
-}
-
-func (c *diagClient) read() {
-	for {
-		msg, err := c.wc.Decode()
-		if err != nil {
-			return
-		}
-		switch msg.Type {
-		case wire.TypeHeartbeat:
-			select {
-			case c.echo <- msg.At:
-			default:
-			}
-		case wire.TypeSnapshotReq:
-			c.pulls.Add(1)
-			_ = c.wc.Encode(wire.Message{Type: wire.TypeSnapshot, SUO: c.id,
-				At: sim.Time(c.lastAt.Load()), Snapshot: c.rec.Snapshot()})
-		case wire.TypeControl:
-			if msg.Control == wire.CtrlReset {
-				_ = c.wc.Encode(wire.Ack(c.id, wire.CtrlReset, sim.Time(c.lastAt.Load())))
-			}
-		}
-	}
-}
-
-func (c *diagClient) frame(at sim.Time, x float64) {
-	c.lastAt.Store(int64(at))
-	ev := event.Event{Kind: event.Output, Name: "out", Source: c.id, At: at}.With("x", x)
-	_ = c.wc.SendEvent(c.id, ev)
-}
-
-// heartbeat closes the round: flush barrier on the wire, window boundary in
-// the recorder.
-func (c *diagClient) heartbeat(at sim.Time) {
-	c.lastAt.Store(int64(at))
-	if c.wc.Encode(wire.Message{Type: wire.TypeHeartbeat, SUO: c.id, At: at}) != nil {
-		return
-	}
-	select {
-	case <-c.echo:
-	case <-time.After(2 * time.Second):
-	}
-	c.rec.Rotate(at)
-}
 
 func TestE2EFleetDiagnosis(t *testing.T) {
 	if testing.Short() {
@@ -169,8 +98,9 @@ func TestE2EFleetDiagnosis(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c := dialDiag(t, addr, id(i), recs[i])
-			defer c.wc.Close()
+			// The device client answers snapshot pulls from the recorder.
+			c := dialE2E(t, addr, id(i), client.Options{Codec: wire.CodecBinary, Snapshot: recs[i].Snapshot})
+			defer c.Close()
 			x := 0.0
 			if faulty(i) {
 				x = 2.0 // persistent deviation: the detector flags every compare
@@ -180,8 +110,11 @@ func TestE2EFleetDiagnosis(t *testing.T) {
 				recs[i].Press("teletext")
 				recs[i].Press("volume")
 				recs[i].Press("zapping")
-				c.frame(at, x)
-				c.heartbeat(at)
+				_ = c.Send(obsAt(id(i), at, x))
+				// The round closes: flush barrier on the wire, window
+				// boundary in the recorder.
+				_ = c.Flush(at)
+				recs[i].Rotate(at)
 			}
 		}(i)
 	}

@@ -118,8 +118,8 @@ func TestE2EFederation(t *testing.T) {
 	for i := 0; i < devices; i++ {
 		id := fmt.Sprintf("fdev-%03d", i)
 		e := edges[fleet.RangeOf(id, ranges)]
-		c := dialE2E(t, e.addr, id, wire.CodecBinary)
-		defer c.conn.Close()
+		c := dialE2E(t, e.addr, id, binaryOpts)
+		defer c.Close()
 		clients[e.id] = append(clients[e.id], c)
 	}
 	if len(clients["edge-0"]) == 0 || len(clients["edge-1"]) == 0 {

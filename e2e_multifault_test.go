@@ -21,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"trader/internal/client"
 	"trader/internal/control"
 	"trader/internal/diagnose"
 	"trader/internal/fleet"
@@ -29,24 +30,6 @@ import (
 	"trader/internal/spectrum"
 	"trader/internal/wire"
 )
-
-// heartbeatDelta closes the round like heartbeat, but ships the closing
-// coverage window as a spectrum delta right before the heartbeat — the
-// continuous-diagnosis client behavior (tvsim -deltas).
-func (c *diagClient) heartbeatDelta(at sim.Time) {
-	c.lastAt.Store(int64(at))
-	d := c.rec.RotateDelta(at)
-	if c.wc.Encode(wire.Message{Type: wire.TypeSpectrumDelta, SUO: c.id, At: at, Delta: d}) != nil {
-		return
-	}
-	if c.wc.Encode(wire.Message{Type: wire.TypeHeartbeat, SUO: c.id, At: at}) != nil {
-		return
-	}
-	select {
-	case <-c.echo:
-	case <-time.After(2 * time.Second):
-	}
-}
 
 func TestE2EContinuousMultiFaultDiagnosis(t *testing.T) {
 	if testing.Short() {
@@ -120,8 +103,8 @@ func TestE2EContinuousMultiFaultDiagnosis(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c := dialDiag(t, addr, id(i), recs[i])
-			defer c.wc.Close()
+			c := dialE2E(t, addr, id(i), client.Options{Codec: wire.CodecBinary, Snapshot: recs[i].Snapshot})
+			defer c.Close()
 			x := 0.0
 			if _, bad := faultFeature[i]; bad {
 				x = 2.0 // persistent deviation: every compare flags it
@@ -131,8 +114,14 @@ func TestE2EContinuousMultiFaultDiagnosis(t *testing.T) {
 				recs[i].Press("teletext")
 				recs[i].Press("volume")
 				recs[i].Press("zapping")
-				c.frame(at, x)
-				c.heartbeatDelta(at)
+				_ = c.Send(obsAt(id(i), at, x))
+				// The round closes with the window shipped as a spectrum
+				// delta right before the flush heartbeat — the continuous-
+				// diagnosis client behavior (tvsim -deltas).
+				d := recs[i].RotateDelta(at)
+				if c.Encode(wire.Message{Type: wire.TypeSpectrumDelta, SUO: id(i), At: at, Delta: d}) == nil {
+					_ = c.Flush(at)
+				}
 			}
 		}(i)
 	}

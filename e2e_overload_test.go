@@ -14,112 +14,51 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"trader/internal/event"
+	"trader/internal/client"
 	"trader/internal/fleet"
 	"trader/internal/journal"
 	"trader/internal/sim"
 	"trader/internal/wire"
 )
 
-// ovlClient is one flow-controlled remote SUO: a DialFlow connection plus a
-// reader goroutine that books replenishment grants (heartbeat echoes and
-// mid-stream TypeCredit frames), error frames and control pushes.
-type ovlClient struct {
-	id      string
-	conn    *wire.Conn
-	credits atomic.Int64
-	echoes  chan sim.Time
-	reports atomic.Uint64
-	ctrls   atomic.Uint64
-	sent    atomic.Uint64 // observation frames put on the wire
-}
-
-func dialOvl(t *testing.T, addr, id string, wantWindow uint32) *ovlClient {
+// dialOvl dials one flow-controlled remote SUO and checks its Hello grant.
+func dialOvl(t *testing.T, addr, id string, wantWindow uint32) *e2eClient {
 	t.Helper()
-	conn, _, granted, err := wire.DialFlow(addr, id, wire.CodecBinary, wire.DurFsync)
-	if err != nil {
-		t.Fatalf("%s: %v", id, err)
-	}
-	if granted != wantWindow {
+	c := dialE2E(t, addr, id, client.Options{Codec: wire.CodecBinary, Durability: wire.DurFsync})
+	if granted := c.Stats().Window; granted != wantWindow {
 		t.Fatalf("%s: hello granted %d credits, want %d", id, granted, wantWindow)
 	}
-	c := &ovlClient{id: id, conn: conn, echoes: make(chan sim.Time, 64)}
-	c.credits.Store(int64(granted))
-	go func() {
-		for {
-			msg, err := conn.Decode()
-			if err != nil {
-				return
-			}
-			switch msg.Type {
-			case wire.TypeError:
-				c.reports.Add(1)
-			case wire.TypeControl:
-				c.ctrls.Add(1)
-			case wire.TypeCredit:
-				c.credits.Add(int64(msg.Credits))
-			case wire.TypeHeartbeat:
-				c.credits.Add(int64(msg.Credits))
-				c.echoes <- msg.At
-			}
-		}
-	}()
 	return c
 }
 
-// sendObs streams n observations at 1ms spacing from fromMs, honoring the
-// credit window: it never puts a frame on the wire without a local credit,
-// so the server's balance (always ≥ ours) cannot hit a violation.
-func (c *ovlClient) sendObs(t *testing.T, n int, fromMs int64) {
+// sendObs streams n observations at 1ms spacing from fromMs through the
+// client's credit window: it never puts a frame on the wire without a
+// local credit, so the server's balance (always ≥ ours) cannot hit a
+// violation. A window left unreplenished for 10s closes the client, which
+// fails the send.
+func sendObs(t *testing.T, c *e2eClient, n int, fromMs int64) {
 	t.Helper()
+	watchdog := time.AfterFunc(10*time.Second, c.Close)
+	defer watchdog.Stop()
 	for i := 0; i < n; i++ {
-		deadline := time.Now().Add(10 * time.Second)
-		for c.credits.Load() <= 0 {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: credit window never replenished", c.id)
-			}
-			time.Sleep(time.Millisecond)
+		watchdog.Reset(10 * time.Second)
+		if err := c.Send(obsAt(c.id, sim.Time(fromMs+int64(i))*sim.Millisecond, 0)); err != nil {
+			t.Fatalf("%s: send (credit window never replenished?): %v", c.id, err)
 		}
-		c.credits.Add(-1)
-		at := sim.Time(fromMs+int64(i)) * sim.Millisecond
-		ev := event.Event{Kind: event.Output, Name: "out", Source: c.id, At: at}.With("x", 0)
-		if err := c.conn.SendEvent(c.id, ev); err != nil {
-			t.Fatalf("%s: send: %v", c.id, err)
-		}
-		c.sent.Add(1)
 	}
 }
 
-// drain heartbeats at atMs and waits for its echo — the flush barrier that
-// also carries the replenishment grant. Near saturation the heartbeat
-// itself may be tier-2 shed (no echo); drain retries with a nudged
-// timestamp until one lands, exactly like a paced real client would.
-func (c *ovlClient) drain(t *testing.T, atMs int64) {
+// drain flushes at atMs — the barrier whose echo also carries the
+// replenishment grant. Near saturation the heartbeat itself may be tier-2
+// shed (no echo); Flush re-solicits with a nudged timestamp until one
+// lands, exactly like a paced real client would.
+func drain(t *testing.T, c *e2eClient, atMs int64) {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for try := int64(0); ; try++ {
-		at := sim.Time(atMs+try) * sim.Millisecond
-		if err := c.conn.Encode(wire.Message{Type: wire.TypeHeartbeat, SUO: c.id, At: at}); err != nil {
-			t.Fatalf("%s: heartbeat: %v", c.id, err)
-		}
-		for {
-			select {
-			case got := <-c.echoes:
-				if got >= at {
-					return
-				}
-			case <-time.After(2 * time.Second):
-				if time.Now().After(deadline) {
-					t.Fatalf("%s: no heartbeat echo after %d attempts", c.id, try+1)
-				}
-				goto retry
-			}
-		}
-	retry:
+	if err := c.Flush(sim.Time(atMs) * sim.Millisecond); err != nil {
+		t.Fatalf("%s: %v", c.id, err)
 	}
 }
 
@@ -177,7 +116,7 @@ func TestE2EOverloadShedsInTiersAndHoldsSLO(t *testing.T) {
 
 	staller := dialOvl(t, addr, stallerID, window)
 	flooder := dialOvl(t, addr, flooderID, window)
-	bases := make([]*ovlClient, nBase)
+	bases := make([]*e2eClient, nBase)
 	for i, id := range baseIDs {
 		bases[i] = dialOvl(t, addr, id, window)
 	}
@@ -188,12 +127,12 @@ func TestE2EOverloadShedsInTiersAndHoldsSLO(t *testing.T) {
 	var wg sync.WaitGroup
 	for _, c := range bases {
 		wg.Add(1)
-		go func(c *ovlClient) {
+		go func(c *e2eClient) {
 			defer wg.Done()
 			for cycle := 0; cycle < nCycles; cycle++ {
 				from := int64(1 + cycle*(baseObs+10))
-				c.sendObs(t, baseObs, from)
-				c.drain(t, from+baseObs)
+				sendObs(t, c, baseObs, from)
+				drain(t, c, from+baseObs)
 				time.Sleep(20 * time.Millisecond)
 			}
 		}(c)
@@ -209,11 +148,11 @@ func TestE2EOverloadShedsInTiersAndHoldsSLO(t *testing.T) {
 	// keeps the compliant flooder streaming round after round.
 	for burst := 0; burst < bursts; burst++ {
 		at := sim.Time(burst+1) * stall
-		if err := staller.conn.Encode(wire.Message{Type: wire.TypeHeartbeat, SUO: stallerID, At: at}); err != nil {
+		if err := staller.Encode(wire.Message{Type: wire.TypeHeartbeat, SUO: stallerID, At: at}); err != nil {
 			t.Fatalf("staller heartbeat: %v", err)
 		}
 		time.Sleep(10 * time.Millisecond) // let the advance occupy the shard
-		flooder.sendObs(t, window, int64(1+burst*(window+10)))
+		sendObs(t, flooder, window, int64(1+burst*(window+10)))
 		if burst == 1 {
 			// Mid-flood, the control plane must cut through: a push to the
 			// device on the most pressured shard, never shed, never queued.
@@ -221,21 +160,21 @@ func TestE2EOverloadShedsInTiersAndHoldsSLO(t *testing.T) {
 				t.Fatalf("control push during flood: %v", err)
 			}
 		}
-		flooder.drain(t, int64(1+burst*(window+10)+window))
+		drain(t, flooder, int64(1+burst*(window+10)+window))
 	}
 	wg.Wait()
 	if t.Failed() {
 		t.FailNow()
 	}
-	staller.drain(t, int64((bursts+1)*200_000))
-	waitFor(t, "control push delivered", func() bool { return staller.ctrls.Load() >= 1 })
+	drain(t, staller, int64((bursts+1)*200_000))
+	waitFor(t, "control push delivered", func() bool { return staller.Stats().Controls >= 1 })
 
 	// Everything is flushed (every client holds a final echo). Close the
 	// clients and read the books.
-	staller.conn.Close()
-	flooder.conn.Close()
+	staller.Close()
+	flooder.Close()
 	for _, c := range bases {
-		c.conn.Close()
+		c.Close()
 	}
 	waitFor(t, "disconnects observed", func() bool {
 		return srv.Stats().Disconnected == uint64(2+nBase)
@@ -247,7 +186,7 @@ func TestE2EOverloadShedsInTiersAndHoldsSLO(t *testing.T) {
 	// Tier ordering: observations shed (the queue was overrun four times),
 	// control never — and nothing punched through out of order.
 	if ro.ShedObservations == 0 {
-		t.Fatalf("no observations shed: %d frames through a %d-deep queue never built pressure", flooder.sent.Load(), queue)
+		t.Fatalf("no observations shed: %d frames through a %d-deep queue never built pressure", flooder.Stats().Sent, queue)
 	}
 	if ro.ShedControl != 0 {
 		t.Fatalf("control traffic shed %d times — the never-shed tier broke", ro.ShedControl)
@@ -264,7 +203,7 @@ func TestE2EOverloadShedsInTiersAndHoldsSLO(t *testing.T) {
 		t.Fatalf("%d credit violations from compliant clients", cs.CreditViolations)
 	}
 	wantSent := uint64(bursts * window)
-	if got := flooder.sent.Load(); got != wantSent {
+	if got := flooder.Stats().Sent; got != wantSent {
 		t.Fatalf("flooder sent %d frames, want %d — replenishment stalled it", got, wantSent)
 	}
 
@@ -272,8 +211,8 @@ func TestE2EOverloadShedsInTiersAndHoldsSLO(t *testing.T) {
 	// was either dispatched through a monitor or counted refused. Nothing
 	// vanished, nothing was double-counted.
 	var sent uint64
-	for _, c := range append([]*ovlClient{staller, flooder}, bases...) {
-		sent += c.sent.Load()
+	for _, c := range append([]*e2eClient{staller, flooder}, bases...) {
+		sent += c.Stats().Sent
 	}
 	if ro.Dispatched+ro.ShedObservations != sent || ro.Dropped != 0 || ro.Quarantined != 0 {
 		t.Fatalf("conservation broke: sent %d != dispatched %d + shed %d (dropped %d, quarantined %d)",

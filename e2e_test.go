@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"trader/internal/client"
 	"trader/internal/core"
 	"trader/internal/event"
 	"trader/internal/fleet"
@@ -20,71 +21,46 @@ import (
 	"trader/internal/wire"
 )
 
-// e2eClient is one remote SUO: a handshaken connection plus a reader
-// goroutine that counts the monitor's error frames and signals heartbeat
-// echoes (the drain barrier).
+// e2eClient is one remote SUO on the device client (internal/client, the
+// client tvsim -connect runs): its reader counts error frames, answers
+// control pushes and moves the heartbeat-echo watermark Flush waits on.
 type e2eClient struct {
-	id      string
-	conn    *wire.Conn
-	mu      sync.Mutex
-	reports int
-	echo    chan sim.Time
+	id string
+	*client.Client
 }
 
-func dialE2E(t *testing.T, addr, id, codec string) *e2eClient {
+func dialE2E(t *testing.T, addr, id string, opts client.Options) *e2eClient {
 	t.Helper()
-	conn, err := wire.Dial(addr, id, codec)
+	c, err := client.New(addr, id, opts)
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
-	c := &e2eClient{id: id, conn: conn, echo: make(chan sim.Time, 16)}
-	go func() {
-		for {
-			msg, err := conn.Decode()
-			if err != nil {
-				return
-			}
-			switch msg.Type {
-			case wire.TypeError:
-				c.mu.Lock()
-				c.reports++
-				c.mu.Unlock()
-			case wire.TypeHeartbeat:
-				c.echo <- msg.At
-			}
-		}
-	}()
-	return c
+	return &e2eClient{id: id, Client: c}
 }
 
-func (c *e2eClient) reportCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.reports
+// binaryOpts are the client options most e2es dial with.
+var binaryOpts = client.Options{Codec: wire.CodecBinary}
+
+// obsAt is the observation every e2e streams: output "out" at level x.
+func obsAt(id string, at sim.Time, x float64) event.Event {
+	return event.Event{Kind: event.Output, Name: "out", Source: id, At: at}.With("x", x)
 }
+
+func (c *e2eClient) reportCount() int { return int(c.Stats().Reports) }
 
 // stream sends n observations of the commanded level x at 10ms spacing
-// starting from fromMs, then heartbeats and waits for the echo, so on
-// return every observation has been through this device's monitor.
+// starting from fromMs, then flushes, so on return every observation has
+// been through this device's monitor.
 func (c *e2eClient) stream(t *testing.T, n int, x float64, fromMs int64) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		at := sim.Time(fromMs+int64(i)*10) * sim.Millisecond
-		ev := event.Event{Kind: event.Output, Name: "out", Source: c.id, At: at}.With("x", x)
-		if err := c.conn.SendEvent(c.id, ev); err != nil {
+		if err := c.Send(obsAt(c.id, sim.Time(fromMs+int64(i)*10)*sim.Millisecond, x)); err != nil {
 			t.Errorf("%s: send: %v", c.id, err)
 			return
 		}
 	}
-	hbAt := sim.Time(fromMs+int64(n)*10) * sim.Millisecond
-	if err := c.conn.Encode(wire.Message{Type: wire.TypeHeartbeat, SUO: c.id, At: hbAt}); err != nil {
-		t.Errorf("%s: heartbeat: %v", c.id, err)
-		return
-	}
-	select {
-	case <-c.echo:
-	case <-time.After(10 * time.Second):
-		t.Errorf("%s: heartbeat echo never arrived", c.id)
+	if err := c.Flush(sim.Time(fromMs+int64(n)*10) * sim.Millisecond); err != nil {
+		t.Errorf("%s: heartbeat echo never arrived: %v", c.id, err)
 	}
 }
 
@@ -131,11 +107,11 @@ func TestE2EFleetIngestion(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			codec := wire.CodecBinary
+			opts := binaryOpts
 			if i%2 == 1 {
-				codec = wire.CodecJSON
+				opts.Codec = wire.CodecJSON
 			}
-			clients[i] = dialE2E(t, addr, fmt.Sprintf("e2e-%06d", i), codec)
+			clients[i] = dialE2E(t, addr, fmt.Sprintf("e2e-%06d", i), opts)
 		}(i)
 	}
 	wg.Wait()
@@ -206,7 +182,7 @@ func TestE2EFleetIngestion(t *testing.T) {
 	// the survivors keep streaming; the daemon must shed exactly the
 	// departed devices and keep ingesting.
 	for i := 0; i < devices/2; i++ {
-		clients[i].conn.Close()
+		clients[i].Close()
 	}
 	waitFor(t, "departed devices removed", func() bool { return pool.Size() == devices/2 })
 	for _, c := range clients[devices/2:] {
@@ -226,8 +202,8 @@ func TestE2EFleetIngestion(t *testing.T) {
 	}
 
 	// A departed ID's shard slot is free: it can reconnect immediately.
-	re := dialE2E(t, addr, clients[0].id, wire.CodecBinary)
-	defer re.conn.Close()
+	re := dialE2E(t, addr, clients[0].id, binaryOpts)
+	defer re.Close()
 	waitFor(t, "reconnect", func() bool { return pool.Size() == devices/2+1 })
 	re.stream(t, 5, 0, 1000)
 }

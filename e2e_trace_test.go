@@ -102,8 +102,8 @@ func TestE2ETraceExemplarFederation(t *testing.T) {
 	for i := 0; i < devices; i++ {
 		id := fmt.Sprintf("tdev-%03d", i)
 		e := edges[fleet.RangeOf(id, ranges)]
-		c := dialE2E(t, e.addr, id, wire.CodecBinary)
-		defer c.conn.Close()
+		c := dialE2E(t, e.addr, id, binaryOpts)
+		defer c.Close()
 		c.stream(t, frames, 0.0, 0)
 	}
 	waitFor(t, "aggregator sees every device", func() bool {
@@ -314,30 +314,30 @@ func TestE2EIncidentBundleReplay(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c := dialRecovery(t, addr, id(i))
-			defer c.close()
+			c := dialE2E(t, addr, id(i), binaryOpts)
+			defer c.Close()
 			x := 0.0
 			if i == 0 {
 				x = 2.0
 			}
-			for n := 1; n <= ticks; n++ {
-				if c.isQuarantined() {
-					return
-				}
-				c.frame(sim.Time(n)*tick, x)
+			step := func(n int) {
+				_ = c.Send(obsAt(id(i), sim.Time(n)*tick, x))
 				if n%10 == 0 {
-					c.flush(sim.Time(n) * tick)
+					_ = c.Flush(sim.Time(n) * tick)
 				}
 			}
-			for n := ticks + 1; n <= 2000 && !c.isQuarantined(); n++ {
-				if c.conn() == nil {
+			for n := 1; n <= ticks; n++ {
+				if c.Stats().Quarantines > 0 {
+					return
+				}
+				step(n)
+			}
+			for n := ticks + 1; n <= 2000 && c.Stats().Quarantines == 0; n++ {
+				if c.Stats().Down {
 					time.Sleep(5 * time.Millisecond)
 					continue
 				}
-				c.frame(sim.Time(n)*tick, x)
-				if n%10 == 0 {
-					c.flush(sim.Time(n) * tick)
-				}
+				step(n)
 			}
 		}(i)
 	}

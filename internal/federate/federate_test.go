@@ -263,7 +263,7 @@ func TestAggregatorVetsUplinks(t *testing.T) {
 	addr := startAggregator(t, agg)
 
 	// A plain device handshake (no role) must be refused.
-	if _, err := wire.Dial(addr, "dev-1", ""); err == nil {
+	if _, _, _, err := wire.Dial(addr, "dev-1", "", ""); err == nil {
 		t.Fatal("roleless handshake accepted by aggregator")
 	}
 

@@ -79,7 +79,7 @@ func TestCreditViolationDisconnectsHostileClient(t *testing.T) {
 		s.CreditWindow = 8
 		s.ShedObservationsAt = 0.5
 	})
-	wc, _, credits, err := wire.DialFlow(addr, "hostile", wire.CodecBinary, "")
+	wc, _, credits, err := wire.Dial(addr, "hostile", wire.CodecBinary, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestShedTierOrderingUnderPressure(t *testing.T) {
 		s.ShedObservationsAt = 0.5
 		s.ShedHeartbeatsAt = 0.9
 	})
-	wc, err := wire.Dial(addr, "tiered", wire.CodecBinary)
+	wc, _, _, err := wire.Dial(addr, "tiered", wire.CodecBinary, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestCreditCompliantClientStreamsThroughReplenishment(t *testing.T) {
 	srv, addr := startOverloadServer(t, Options{Shards: 1}, func(s *Server) {
 		s.CreditWindow = 4
 	})
-	wc, _, credits, err := wire.DialFlow(addr, "steady", wire.CodecBinary, "")
+	wc, _, credits, err := wire.Dial(addr, "steady", wire.CodecBinary, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestCreditReplenishRacesDisconnect(t *testing.T) {
 	})
 	for i := 0; i < 8; i++ {
 		id := "racer"
-		wc, _, _, err := wire.DialFlow(addr, id, wire.CodecBinary, "")
+		wc, _, _, err := wire.Dial(addr, id, wire.CodecBinary, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -403,7 +403,7 @@ func TestShedMarkersJournaledAndReplayed(t *testing.T) {
 		return wire.Message{Type: wire.TypeSpectrumDelta, SUO: "shedder", At: at,
 			Delta: &wire.SpectrumDelta{Seq: uint64(at), Blocks: 8}}
 	}
-	wc, err := wire.Dial(addr, "shedder", wire.CodecBinary)
+	wc, _, _, err := wire.Dial(addr, "shedder", wire.CodecBinary, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,7 +63,7 @@ func outEvent(x float64, atMs int64) event.Event {
 func TestServerIngestDetectDisconnectReconnect(t *testing.T) {
 	srv, addr := startServer(t, nil)
 
-	wc, err := wire.Dial(addr, "tv-1", wire.CodecBinary)
+	wc, _, _, err := wire.Dial(addr, "tv-1", wire.CodecBinary, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,12 +90,15 @@ func TestServerIngestDetectDisconnectReconnect(t *testing.T) {
 	wc.Close()
 	eventually(t, "removal", func() bool { return srv.Pool.Size() == 0 })
 
-	wc2, err := wire.Dial(addr, "tv-1", wire.CodecJSON)
+	wc2, _, _, err := wire.Dial(addr, "tv-1", wire.CodecJSON, "")
 	if err != nil {
 		t.Fatalf("reconnect with same ID: %v", err)
 	}
 	defer wc2.Close()
 	eventually(t, "re-registration", func() bool { return srv.Pool.Size() == 1 })
+	// admit counts the accept only after the device is visible in the
+	// pool, so wait on the counter asserted below, not on Pool.Size.
+	eventually(t, "accept accounting", func() bool { return srv.Stats().Accepted == 2 })
 	st := srv.Stats()
 	if st.Accepted != 2 || st.Disconnected != 1 {
 		t.Fatalf("stats = %+v", st)
@@ -105,7 +108,7 @@ func TestServerIngestDetectDisconnectReconnect(t *testing.T) {
 func TestServerGarbageFrameClosesOnlyOffender(t *testing.T) {
 	srv, addr := startServer(t, nil)
 
-	healthy, err := wire.Dial(addr, "good", wire.CodecBinary)
+	healthy, _, _, err := wire.Dial(addr, "good", wire.CodecBinary, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +121,7 @@ func TestServerGarbageFrameClosesOnlyOffender(t *testing.T) {
 	}
 	defer raw.Close()
 	bad := wire.NewConn(raw)
-	if _, err := bad.Handshake("bad", wire.CodecJSON); err != nil {
+	if _, _, _, err := bad.HandshakeFlow("bad", wire.CodecJSON, ""); err != nil {
 		t.Fatal(err)
 	}
 	eventually(t, "both registered", func() bool { return srv.Pool.Size() == 2 })
@@ -159,7 +162,7 @@ func TestServerOversizedFrameClosesOnlyOffender(t *testing.T) {
 	}
 	defer raw.Close()
 	wc := wire.NewConn(raw)
-	if _, err := wc.Handshake("huge", ""); err != nil {
+	if _, _, _, err := wc.HandshakeFlow("huge", "", ""); err != nil {
 		t.Fatal(err)
 	}
 	eventually(t, "registered", func() bool { return srv.Pool.Size() == 1 })
@@ -173,7 +176,7 @@ func TestServerOversizedFrameClosesOnlyOffender(t *testing.T) {
 
 func TestServerRejectsDuplicateAndAnonymousIDs(t *testing.T) {
 	srv, addr := startServer(t, nil)
-	first, err := wire.Dial(addr, "twin", "")
+	first, _, _, err := wire.Dial(addr, "twin", "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +185,7 @@ func TestServerRejectsDuplicateAndAnonymousIDs(t *testing.T) {
 
 	// Second connection with the same ID: the rejection IS the handshake
 	// reply, so Dial itself fails and tells the client why.
-	dup, err := wire.Dial(addr, "twin", "")
+	dup, _, _, err := wire.Dial(addr, "twin", "", "")
 	if err == nil {
 		dup.Close()
 		t.Fatal("duplicate ID should fail the handshake")
@@ -191,7 +194,7 @@ func TestServerRejectsDuplicateAndAnonymousIDs(t *testing.T) {
 		t.Fatalf("duplicate ID error = %v, want the reason", err)
 	}
 
-	anon, err := wire.Dial(addr, "", "")
+	anon, _, _, err := wire.Dial(addr, "", "", "")
 	if err == nil {
 		anon.Close()
 		t.Fatal("anonymous hello should fail the handshake")
@@ -242,7 +245,7 @@ func TestServerHeartbeatAdvancesClockForSilenceDetection(t *testing.T) {
 		return k, mon, nil
 	}
 	srv, addr := startServer(t, func(s *Server) { s.Factory = factory })
-	wc, err := wire.Dial(addr, "quiet", wire.CodecBinary)
+	wc, _, _, err := wire.Dial(addr, "quiet", wire.CodecBinary, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +281,7 @@ func TestServerHeartbeatAdvancesClockForSilenceDetection(t *testing.T) {
 // sent — an echo is a promise that all prior frames were monitored.
 func TestServerNoFalseEchoAfterPoolStop(t *testing.T) {
 	srv, addr := startServer(t, nil)
-	wc, err := wire.Dial(addr, "late", wire.CodecJSON)
+	wc, _, _, err := wire.Dial(addr, "late", wire.CodecJSON, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,12 +310,12 @@ func TestServerNoFalseEchoAfterPoolStop(t *testing.T) {
 func TestServerRejectsRunawayTimeAdvance(t *testing.T) {
 	srv, addr := startServer(t, nil)
 
-	healthy, err := wire.Dial(addr, "steady", wire.CodecBinary)
+	healthy, _, _, err := wire.Dial(addr, "steady", wire.CodecBinary, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer healthy.Close()
-	bomb, err := wire.Dial(addr, "bomb", wire.CodecBinary)
+	bomb, _, _, err := wire.Dial(addr, "bomb", wire.CodecBinary, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +334,7 @@ func TestServerRejectsRunawayTimeAdvance(t *testing.T) {
 	}
 
 	// Observation path: the event's own timestamp is vetted the same way.
-	bomb2, err := wire.Dial(addr, "bomb2", wire.CodecJSON)
+	bomb2, _, _, err := wire.Dial(addr, "bomb2", wire.CodecJSON, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +362,7 @@ func TestServerRejectsRunawayTimeAdvance(t *testing.T) {
 // frames once the clock has advanced.
 func TestServerHugeMaxAdvanceDoesNotOverflow(t *testing.T) {
 	srv, addr := startServer(t, func(s *Server) { s.MaxAdvance = sim.Time(math.MaxInt64) })
-	wc, err := wire.Dial(addr, "wide", wire.CodecBinary)
+	wc, _, _, err := wire.Dial(addr, "wide", wire.CodecBinary, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +417,7 @@ func TestServeRetriesTemporaryAcceptErrors(t *testing.T) {
 	go func() { done <- srv.Serve(&flakyListener{Listener: ln}) }()
 
 	// The first Accept fails; this connection only succeeds if Serve retried.
-	wc, err := wire.Dial(addr, "survivor", "")
+	wc, _, _, err := wire.Dial(addr, "survivor", "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +432,7 @@ func TestServeRetriesTemporaryAcceptErrors(t *testing.T) {
 
 func TestServerControlPushAndClose(t *testing.T) {
 	srv, addr := startServer(t, nil)
-	wc, err := wire.Dial(addr, "tv-9", wire.CodecBinary)
+	wc, _, _, err := wire.Dial(addr, "tv-9", wire.CodecBinary, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +472,7 @@ func TestServerControlPushAndClose(t *testing.T) {
 // device's connection and unwinds it like any client-initiated disconnect.
 func TestServerDisconnect(t *testing.T) {
 	srv, addr := startServer(t, nil)
-	wc, err := wire.Dial(addr, "q-1", wire.CodecBinary)
+	wc, _, _, err := wire.Dial(addr, "q-1", wire.CodecBinary, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +501,7 @@ func TestControlPushRacesDisconnect(t *testing.T) {
 	srv, addr := startServer(t, nil)
 	for i := 0; i < 16; i++ {
 		id := fmt.Sprintf("racer-%02d", i)
-		wc, err := wire.Dial(addr, id, wire.CodecBinary)
+		wc, _, _, err := wire.Dial(addr, id, wire.CodecBinary, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -551,7 +554,7 @@ func TestServerRoutesAcks(t *testing.T) {
 			acks <- ack{id: id, cmd: m.Control, at: m.At}
 		}
 	})
-	wc, err := wire.Dial(addr, "acker", wire.CodecBinary)
+	wc, _, _, err := wire.Dial(addr, "acker", wire.CodecBinary, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -596,7 +599,7 @@ func TestServerSnapshotPullAndRouting(t *testing.T) {
 	if err := srv.RequestSnapshot("nobody"); err == nil {
 		t.Fatal("pulling an unknown device should fail")
 	}
-	wc, err := wire.Dial(addr, "spectral", wire.CodecBinary)
+	wc, _, _, err := wire.Dial(addr, "spectral", wire.CodecBinary, "")
 	if err != nil {
 		t.Fatal(err)
 	}

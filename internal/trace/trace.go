@@ -23,6 +23,7 @@ package trace
 
 import (
 	"encoding/binary"
+	"runtime"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -131,11 +132,17 @@ func (r *Ring) Evicted() uint64 {
 }
 
 // put records one span. Two writers only ever collide on a slot when one
-// stalls for a full ring revolution; the seqlock stamp makes even that
-// race produce a discarded read, not a torn span handed to a caller.
+// stalls for a full ring revolution. The writer claims the slot by moving
+// its stamp from even to odd, spinning while another writer holds it, so
+// the stamp is even only when no writer is mid-copy: a colliding pair
+// serialises instead of publishing an interleaving of both spans.
 func (r *Ring) put(s Span) {
 	sl := &r.slots[(r.head.Add(1)-1)&r.mask]
-	sl.seq.Add(1) // odd: writing
+	seq := sl.seq.Load()
+	for seq&1 != 0 || !sl.seq.CompareAndSwap(seq, seq+1) {
+		runtime.Gosched()
+		seq = sl.seq.Load()
+	}
 	sl.trace.Store(s.TraceID)
 	sl.span.Store(s.SpanID)
 	sl.parent.Store(s.Parent)
@@ -155,7 +162,7 @@ func (r *Ring) put(s Span) {
 	sl.meta.Store(meta)
 	sl.start.Store(uint64(s.Start))
 	sl.dur.Store(uint64(s.Dur))
-	sl.seq.Add(1) // even: published
+	sl.seq.Store(seq + 2) // even: published
 }
 
 // Snapshot appends the ring's retained spans to dst, oldest first, and

@@ -16,7 +16,7 @@ import (
 // safe for concurrent use.
 //
 // Which codec a connection speaks is negotiated in the Hello exchange (see
-// Conn.Handshake and Conn.AcceptHello): the Hello frames themselves are
+// Conn.HandshakeFlow and Conn.AcceptHello): the Hello frames themselves are
 // always JSON, so any client can open a conversation, and both sides switch
 // to the agreed codec for every frame after it. JSON is the default and the
 // fallback when the peer's requested codec is unknown.

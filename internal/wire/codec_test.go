@@ -219,8 +219,8 @@ func handshakePair(t *testing.T, suo, requested string) (client, server *Conn, h
 		hello, accepted, err = server.AcceptHello()
 		done <- err
 	}()
-	if _, err := client.Handshake(suo, requested); err != nil {
-		t.Fatalf("Handshake: %v", err)
+	if _, _, _, err := client.HandshakeFlow(suo, requested, ""); err != nil {
+		t.Fatalf("HandshakeFlow: %v", err)
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("AcceptHello: %v", err)

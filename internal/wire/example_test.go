@@ -31,7 +31,7 @@ func ExampleEncoder() {
 }
 
 // The compact binary codec is a drop-in replacement for JSON framing; real
-// connections negotiate it in the Hello exchange (Conn.Handshake /
+// connections negotiate it in the Hello exchange (Conn.HandshakeFlow /
 // Conn.AcceptHello) instead of setting it by hand.
 func ExampleCodec() {
 	var buf bytes.Buffer

@@ -38,25 +38,11 @@ func Listen(addr string) (net.Listener, error) {
 }
 
 // Dial connects to the address notation above and performs the client-side
-// Hello handshake, identifying as suo and requesting the named codec
-// (empty for JSON). The returned connection speaks the accepted codec.
-func Dial(addr, suo, codec string) (*Conn, error) {
-	c, _, err := DialTiered(addr, suo, codec, "")
-	return c, err
-}
-
-// DialTiered is Dial with a durability-class request (see HandshakeTiered):
-// the granted ack class is returned next to the connection. An empty
-// request asks for fsync, the strongest class.
-func DialTiered(addr, suo, codec string, dur Durability) (*Conn, Durability, error) {
-	c, granted, _, err := DialFlow(addr, suo, codec, dur)
-	return c, granted, err
-}
-
-// DialFlow is DialTiered additionally surfacing the initial frame-credit
-// window the server granted (see HandshakeFlow). Zero means the server
-// does not enforce flow control on this connection.
-func DialFlow(addr, suo, codec string, dur Durability) (*Conn, Durability, uint32, error) {
+// Hello handshake (see HandshakeFlow), identifying as suo and requesting
+// the named codec (empty for JSON) and durability class (empty for fsync).
+// The returned connection speaks the accepted codec; the granted class and
+// the initial frame-credit window (zero: no flow control) come with it.
+func Dial(addr, suo, codec string, dur Durability) (*Conn, Durability, uint32, error) {
 	network, address, err := SplitAddr(addr)
 	if err != nil {
 		return nil, "", 0, err
@@ -66,8 +52,8 @@ func DialFlow(addr, suo, codec string, dur Durability) (*Conn, Durability, uint3
 		return nil, "", 0, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
 	c := NewConn(nc)
-	granted, credits := Durability(""), uint32(0)
-	if _, granted, credits, err = c.HandshakeFlow(suo, codec, dur); err != nil {
+	_, granted, credits, err := c.HandshakeFlow(suo, codec, dur)
+	if err != nil {
 		nc.Close()
 		return nil, "", 0, err
 	}

@@ -632,51 +632,27 @@ func (c *Conn) SetCodec(codec Codec) {
 	c.Decoder.SetCodec(codec)
 }
 
-// Handshake performs the client side of the Hello exchange: it sends a
-// Hello frame identifying the SUO and requesting the named codec (empty or
-// "json" for the default), waits for the server's Hello reply, and switches
-// the connection to the codec the server accepted. It returns that codec.
-// Hello frames always travel as JSON, so negotiation works regardless of
-// the outcome.
-func (c *Conn) Handshake(suo, codec string) (Codec, error) {
-	accepted, _, err := c.HandshakeTiered(suo, codec, "")
-	return accepted, err
-}
-
-// HandshakeTiered is Handshake with a durability-class request: the Hello
-// additionally asks for the named ack class (empty for fsync, the
-// strongest), and the granted class from the server's reply is returned
-// next to the accepted codec. Servers from before tiered durability leave
-// the reply field empty, which vets back to fsync — the promise they
-// actually keep.
-func (c *Conn) HandshakeTiered(suo, codec string, dur Durability) (Codec, Durability, error) {
-	accepted, granted, _, err := c.HandshakeFlow(suo, codec, dur)
-	return accepted, granted, err
-}
-
-// HandshakeFlow is HandshakeTiered additionally surfacing the initial
-// frame-credit window the server's Hello reply grants. A zero window means
-// the server does not enforce flow control: the client may stream freely.
-// A non-zero window obliges the client to spend one credit per observation
-// frame and to stop sending observations at zero until a heartbeat echo or
-// TypeCredit frame replenishes it — a peer that keeps sending is
-// disconnected as hostile.
+// HandshakeFlow performs the client side of the Hello exchange: it sends a
+// Hello frame identifying the SUO, requesting the named codec (empty or
+// "json" for the default) and the named durability class (empty for fsync,
+// the strongest), waits for the server's Hello reply, and switches the
+// connection to the codec the server accepted. It returns that codec, the
+// granted durability class and the initial frame-credit window. Hello
+// frames always travel as JSON, so negotiation works regardless of the
+// outcome.
+//
+// Servers from before tiered durability leave the reply's class empty,
+// which vets back to fsync — the promise they actually keep. A zero window
+// means the server does not enforce flow control: the client may stream
+// freely. A non-zero window obliges the client to spend one credit per
+// observation frame and to stop sending observations at zero until a
+// heartbeat echo or TypeCredit frame replenishes it — a peer that keeps
+// sending is disconnected as hostile.
 func (c *Conn) HandshakeFlow(suo, codec string, dur Durability) (Codec, Durability, uint32, error) {
-	if err := c.Encode(Message{Type: TypeHello, SUO: suo, Codec: codec, Durability: dur}); err != nil {
-		return nil, "", 0, fmt.Errorf("wire: handshake send: %w", err)
-	}
-	reply, err := c.Decode()
+	reply, accepted, err := c.hello(Message{Type: TypeHello, SUO: suo, Codec: codec, Durability: dur}, "handshake")
 	if err != nil {
-		return nil, "", 0, fmt.Errorf("wire: handshake reply: %w", err)
+		return nil, "", 0, err
 	}
-	if reply.Type == TypeError && reply.Error != nil {
-		return nil, "", 0, fmt.Errorf("wire: handshake rejected: %s", reply.Error.Detail)
-	}
-	if reply.Type != TypeHello {
-		return nil, "", 0, fmt.Errorf("wire: handshake reply has type %q, want %q", reply.Type, TypeHello)
-	}
-	accepted, _ := CodecByName(reply.Codec)
-	c.SetCodec(accepted)
 	granted, _ := DurabilityByName(string(reply.Durability))
 	return accepted, granted, reply.Credits, nil
 }
@@ -688,27 +664,38 @@ func (c *Conn) HandshakeFlow(suo, codec string, dur Durability) (Codec, Durabili
 // role in the reply means the server predates (or refuses) federation and
 // the uplink must not proceed. Returns the accepted codec.
 func (c *Conn) HandshakeEdge(edgeID, codec string, claim HandoffRecord) (Codec, error) {
-	err := c.Encode(Message{Type: TypeHello, SUO: edgeID, Codec: codec,
-		Role: RoleEdge, Handoff: &claim})
+	reply, accepted, err := c.hello(Message{Type: TypeHello, SUO: edgeID, Codec: codec,
+		Role: RoleEdge, Handoff: &claim}, "edge handshake")
 	if err != nil {
-		return nil, fmt.Errorf("wire: edge handshake send: %w", err)
-	}
-	reply, err := c.Decode()
-	if err != nil {
-		return nil, fmt.Errorf("wire: edge handshake reply: %w", err)
-	}
-	if reply.Type == TypeError && reply.Error != nil {
-		return nil, fmt.Errorf("wire: edge handshake rejected: %s", reply.Error.Detail)
-	}
-	if reply.Type != TypeHello {
-		return nil, fmt.Errorf("wire: edge handshake reply has type %q, want %q", reply.Type, TypeHello)
+		return nil, err
 	}
 	if reply.Role != RoleEdge {
 		return nil, fmt.Errorf("wire: server did not grant the edge role (role %q)", reply.Role)
 	}
+	return accepted, nil
+}
+
+// hello is the client half of every Hello exchange: send the Hello, read
+// the reply, fail on a rejection or a non-Hello reply, and switch the
+// connection to the codec the reply names, which it returns with the
+// reply. what prefixes the errors.
+func (c *Conn) hello(m Message, what string) (Message, Codec, error) {
+	if err := c.Encode(m); err != nil {
+		return Message{}, nil, fmt.Errorf("wire: %s send: %w", what, err)
+	}
+	reply, err := c.Decode()
+	if err != nil {
+		return Message{}, nil, fmt.Errorf("wire: %s reply: %w", what, err)
+	}
+	if reply.Type == TypeError && reply.Error != nil {
+		return Message{}, nil, fmt.Errorf("wire: %s rejected: %s", what, reply.Error.Detail)
+	}
+	if reply.Type != TypeHello {
+		return Message{}, nil, fmt.Errorf("wire: %s reply has type %q, want %q", what, reply.Type, TypeHello)
+	}
 	accepted, _ := CodecByName(reply.Codec)
 	c.SetCodec(accepted)
-	return accepted, nil
+	return reply, accepted, nil
 }
 
 // ReadHello performs the first half of the server side of the Hello
@@ -750,7 +737,7 @@ func (c *Conn) ReplyHello(hello Message) (Codec, error) {
 }
 
 // RejectHello refuses a Hello previously read with ReadHello: the handshake
-// reply is a TypeError frame instead of a Hello, so the client's Handshake
+// reply is a TypeError frame instead of a Hello, so the client's HandshakeFlow
 // (and Dial) fails synchronously with the detail. No codec switch happens —
 // a rejection always travels as JSON, like the Hello frames themselves.
 func (c *Conn) RejectHello(suo, detail string) error {

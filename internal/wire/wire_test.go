@@ -284,7 +284,7 @@ func TestOutlierFrameBufferReleased(t *testing.T) {
 }
 
 // A server that refuses a client pre-registration answers the handshake
-// itself with an error frame, so Handshake (and Dial) fails synchronously
+// itself with an error frame, so HandshakeFlow (and Dial) fails synchronously
 // with the reason instead of reporting success for a doomed connection.
 func TestRejectHelloFailsClientHandshake(t *testing.T) {
 	cend, send := net.Pipe()
@@ -300,12 +300,12 @@ func TestRejectHelloFailsClientHandshake(t *testing.T) {
 		send.Close()
 	}()
 	client := NewConn(cend)
-	_, err := client.Handshake("tv-1", CodecBinary)
+	_, _, _, err := client.HandshakeFlow("tv-1", CodecBinary, "")
 	if err == nil {
-		t.Fatal("Handshake should fail on a rejection reply")
+		t.Fatal("HandshakeFlow should fail on a rejection reply")
 	}
 	if !strings.Contains(err.Error(), "fleet is full") {
-		t.Fatalf("Handshake error = %v, want the server's detail", err)
+		t.Fatalf("HandshakeFlow error = %v, want the server's detail", err)
 	}
 }
 
